@@ -269,18 +269,43 @@ def find_isomorphism(s, t):
     candidates = [[b for b in range(n) if sig2[b] == sig1[a]] for a in range(n)]
     phi = [-1] * n
     used = [False] * n
+    # Elements are assigned in the order 0..n-1, so when k is assigned the
+    # constraints among 0..k-1 already hold.  The new ones involve k as a
+    # factor, as a unary argument, or as the value of a product or unary
+    # image of earlier elements; the latter are indexed by k up front.
+    products_onto = [[] for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            z = t1[x][y]
+            if x < z and y < z:
+                products_onto[z].append((x, y))
+    unary_onto = [[] for _ in range(n)]
+    if u1 is not None:
+        for x in range(n):
+            if x < u1[x]:
+                unary_onto[u1[x]].append(x)
 
     def consistent(k):
-        # check every constraint among the first k+1 assigned elements whose
-        # product image is also assigned
-        for x in range(k + 1):
-            px = phi[x]
-            for y in range(k + 1):
-                z = t1[x][y]
-                if phi[z] != -1 and t2[px][phi[y]] != phi[z]:
-                    return False
-            if u1 is not None and phi[u1[x]] != -1 and u2[px] != phi[u1[x]]:
+        pk = phi[k]
+        row1 = t1[k]
+        row2 = t2[pk]
+        for y in range(k + 1):
+            z = row1[y]
+            if z <= k and row2[phi[y]] != phi[z]:
                 return False
+            z = t1[y][k]
+            if z <= k and t2[phi[y]][pk] != phi[z]:
+                return False
+        for x, y in products_onto[k]:
+            if t2[phi[x]][phi[y]] != pk:
+                return False
+        if u1 is not None:
+            z = u1[k]
+            if z <= k and u2[pk] != phi[z]:
+                return False
+            for x in unary_onto[k]:
+                if u2[phi[x]] != pk:
+                    return False
         return True
 
     def extend(a):
@@ -316,25 +341,65 @@ def relabel(s, perm):
     return UnarySemigroup(CayleyTable(rows), new_unary)
 
 
-def _flat(s):
-    table, unary = _unpack(s)
+def _flat(table, unary):
     flat = [v for row in table for v in row]
     if unary is not None:
         flat.extend(unary)
     return flat
 
 
-def canonical_form(s):
-    """Lexicographically minimal row-major serialization over all n!
-    relabelings; equal byte strings iff isomorphic (same kind assumed)."""
-    table, unary = _unpack(s)
+def _smaller_relabelings(table, unary):
+    """Scan all n! relabelings of a table (and its unary map, if any) in
+    row-major order, yielding each serialization that is lexicographically
+    smaller than the table itself and every serialization yielded before it.
+
+    A relabeling is dropped at the first cell where it exceeds the best so
+    far, so only the improving ones are serialized in full.  The last value
+    yielded is the lex-min; nothing is yielded when the table is its own
+    lex-min.
+    """
     n = len(table)
-    best = None
-    for perm in permutations(range(n)):
-        cand = _flat(relabel(s, perm))
-        if best is None or cand < best:
-            best = cand
-    return bytes([n]) + bytes(best)
+    best = _flat(table, unary)
+    perm = [0] * n
+    for inv in permutations(range(n)):
+        for new, old in enumerate(inv):
+            perm[old] = new
+        idx = 0
+        cmp = 0
+        for x in inv:
+            row = table[x]
+            for y in inv:
+                v = perm[row[y]]
+                if v != best[idx]:
+                    cmp = v - best[idx]
+                    break
+                idx += 1
+            if cmp:
+                break
+        if not cmp and unary is not None:
+            for x in inv:
+                v = perm[unary[x]]
+                if v != best[idx]:
+                    cmp = v - best[idx]
+                    break
+                idx += 1
+        if cmp < 0:
+            best = [perm[table[x][y]] for x in inv for y in inv]
+            if unary is not None:
+                best.extend(perm[unary[x]] for x in inv)
+            yield best
+
+
+def canonical_form(s):
+    """Lexicographically minimal row-major serialization (unary map appended)
+    over all n! relabelings; equal byte strings iff isomorphic (same kind
+    assumed).  Relabelings are pruned at their first cell larger than the
+    best so far, which leaves the minimum unchanged."""
+    table, unary = _unpack(s)
+    best = _flat(table, unary)
+    for best in _smaller_relabelings(table, unary):
+        pass
+    return bytes([len(table)]) + bytes(best)
 
 
 def transpose(t):

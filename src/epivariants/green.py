@@ -1,8 +1,8 @@
 """Green's relations and group H-class detection.
 
 R, L and J are computed directly from principal ideals over S^1, H as the
-intersection R /\ L, and D as the relational composition R o L.  For finite
-semigroups D = J; both are computed independently and compared, so a
+intersection of R and L, and D as the relational composition R o L.  For
+finite semigroups D = J; both are computed independently and compared, so a
 disagreement signals a corrupted table rather than a mathematical surprise.
 """
 

@@ -11,13 +11,14 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass
-from itertools import permutations, product as iproduct
+from itertools import product as iproduct
 
 from .core import (
     CapExceeded,
     CayleyTable,
     SemigroupError,
     UnarySemigroup,
+    _smaller_relabelings,
     anti_canonical_form,
     canonical_form,
     find_isomorphism,
@@ -65,34 +66,14 @@ def _cell_consistent(t, a, b, n):
     return True
 
 
-def _is_canonical(t, n):
-    flat = [v for row in t for v in row]
-    for perm in permutations(range(n)):
-        inv = [0] * n
-        for i, p in enumerate(perm):
-            inv[p] = i
-        idx = 0
-        smaller = False
-        for x in range(n):
-            ti = t[inv[x]]
-            for y in range(n):
-                v = perm[ti[inv[y]]]
-                o = flat[idx]
-                if v != o:
-                    smaller = v < o
-                    idx = -1
-                    break
-                idx += 1
-            if idx < 0:
-                break
-        if idx < 0 and smaller:
-            return False
-    return True
+def _is_canonical(t):
+    # stops at the first relabeling that beats t
+    return next(_smaller_relabelings(t, None), None) is None
 
 
 def _fill(t, pos, n, out):
     if pos == n * n:
-        if _is_canonical(t, n):
+        if _is_canonical(t):
             out.append(tuple(tuple(row) for row in t))
         return
     a, b = divmod(pos, n)

@@ -9,9 +9,11 @@ behaves exactly like the variant's own pseudoinverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import CayleyTable, UnarySemigroup, CapExceeded, canonical_form, find_isomorphism
-from .epigroup import element_index, pseudoinverse_map
+from .epigroup import element_index, is_completely_regular, pseudoinverse_map
+from .search import MAX_CROSS_SEARCH_ORDER, semigroup_tables
 
 
 @dataclass(frozen=True)
@@ -88,36 +90,45 @@ def check_rho_homomorphism(t, c):
     return CheckReport("rho-homomorphism", True)
 
 
-def is_unary_variant_of_completely_regular(s, cap=4, as_unary=True):
-    """Search every completely regular semigroup T of the same order and
-    every sandwich element for a unary variant isomorphic to s.
-
-    The sandwich element ranges over T^1: sandwiching by the adjoined
-    identity gives back T itself, so a completely regular semigroup always
-    counts as a (trivial) variant.  Returns (T, c, isomorphism) with c = None
-    for the trivial sandwich, or None when no witness exists.  ``as_unary=
-    False`` downgrades to a plain-table comparison.
-    """
-    from . import search
-    from .epigroup import is_completely_regular
-
-    n = s.order
-    if n > cap:
-        raise CapExceeded(f"order {n} exceeds the cross-search cap {cap}")
-    target = canonical_form(s if as_unary else s.base)
-    for t in search.semigroup_tables(n):
+@lru_cache(maxsize=MAX_CROSS_SEARCH_ORDER)
+def _cr_variant_index(n):
+    """canonical_form -> (T, c, unary variant) over the completely regular
+    semigroups T of order n, in ``semigroup_tables`` order, and every c in
+    T^1 (None for the adjoined identity).  The first entry for a form wins."""
+    index = {}
+    for t in semigroup_tables(n):
         if not is_completely_regular(t):
             continue
         su = pseudoinverse_map(t)
         for c in range(n):
             uv = unary_variant(su, c)
-            cand = uv if as_unary else uv.base
-            if canonical_form(cand) == target:
-                phi = find_isomorphism(cand, s if as_unary else s.base)
-                return t, c, phi
+            index.setdefault(canonical_form(uv), (t, c, uv))
         # c = adjoined identity: x *_1 y = xy and x* = x'
-        cand = su if as_unary else t
-        if canonical_form(cand) == target:
-            phi = find_isomorphism(cand, s if as_unary else s.base)
-            return t, None, phi
-    return None
+        index.setdefault(canonical_form(su), (t, None, su))
+    return index
+
+
+def is_unary_variant_of_completely_regular(s):
+    """Find a completely regular semigroup T of the same order and a
+    sandwich element c whose unary variant is isomorphic to s.
+
+    The sandwich element ranges over T^1: sandwiching by the adjoined
+    identity gives back T itself, so a completely regular semigroup always
+    counts as a (trivial) variant.  Returns (T, c, isomorphism) with c = None
+    for the trivial sandwich, or None when no witness exists.
+
+    The first call at an order indexes the unary variants of that order's
+    completely regular semigroups by canonical form, so each call is one
+    lookup plus one isomorphism search on the hit.  The witness is the
+    first (T, c) in ``semigroup_tables`` order, c before the adjoined
+    identity, that a linear scan would find.  Orders above
+    ``MAX_CROSS_SEARCH_ORDER`` raise CapExceeded.
+    """
+    n = s.order
+    if n > MAX_CROSS_SEARCH_ORDER:
+        raise CapExceeded(f"order {n} exceeds the cross-search cap {MAX_CROSS_SEARCH_ORDER}")
+    hit = _cr_variant_index(n).get(canonical_form(s))
+    if hit is None:
+        return None
+    t, c, cand = hit
+    return t, c, find_isomorphism(cand, s)

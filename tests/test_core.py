@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import permutations, product as iproduct
 
 import pytest
 
@@ -20,9 +20,12 @@ from epivariants.core import (
     power,
     product,
     relabel,
+    transpose,
     validate,
 )
 from epivariants.corpus import corpus_names, corpus_text, load_corpus
+from epivariants.epigroup import pseudoinverse_map
+from epivariants.search import semigroup_tables
 
 Z2 = CayleyTable([[0, 1], [1, 0]])
 NULL2 = CayleyTable([[0, 0], [0, 0]])
@@ -181,6 +184,101 @@ def test_canonical_form_iso_invariant():
     for t in (Z2, NULL2, LEFT_ZERO, W_WITNESS):
         for p in permutations(range(t.order)):
             assert canonical_form(relabel(t, p)) == canonical_form(t)
+
+
+def _parts(s):
+    if isinstance(s, UnarySemigroup):
+        return s.base.table, s.unary
+    return s.table, None
+
+
+def brute_force_canonical_form(s):
+    # oracle: serialize every relabeling in full and take the minimum
+    def flat(r):
+        table, unary = _parts(r)
+        return [v for row in table for v in row] + list(unary or ())
+
+    return bytes([s.order]) + bytes(min(flat(relabel(s, p)) for p in permutations(range(s.order))))
+
+
+def _small_models():
+    for order in (1, 2, 3, 4):
+        for t in semigroup_tables(order):
+            yield t
+            yield pseudoinverse_map(t)
+
+
+def _free_unary_models():
+    # unary maps other than the pseudoinverse: every map at order <= 3 and on
+    # the order-4 null semigroup, and the cyclic shift at order 4
+    for order in (1, 2, 3):
+        for t in semigroup_tables(order):
+            for unary in iproduct(range(order), repeat=order):
+                yield UnarySemigroup(t, unary)
+    for unary in iproduct(range(4), repeat=4):
+        yield UnarySemigroup(CayleyTable([[0] * 4] * 4), unary)
+    for t in semigroup_tables(4):
+        yield UnarySemigroup(t, (1, 2, 3, 0))
+
+
+def _generated_models():
+    # closures of two degree-3 transformations: orders 5, 6, 5, 6
+    for gens in (((0, 0, 0), (1, 2, 1)), ((0, 0, 1), (1, 0, 0)),
+                 ((0, 0, 2), (1, 2, 2)), ((0, 0, 2), (2, 1, 0))):
+        t, _ = generate_from_transformations([Transformation(3, g) for g in gens])
+        yield t
+        yield pseudoinverse_map(t)
+
+
+def _oracle_models():
+    return list(_small_models()) + list(_free_unary_models()) + list(_generated_models())
+
+
+def test_canonical_form_matches_brute_force():
+    models = _oracle_models()
+    assert len(models) == 2 * 218 + (1 + 5 * 4 + 24 * 27 + 4**4 + 188) + 8
+    assert sorted({m.order for m in models}) == [1, 2, 3, 4, 5, 6]
+    for m in models:
+        assert canonical_form(m) == brute_force_canonical_form(m)
+
+
+def first_isomorphism(s, t):
+    # oracle: the first bijection in permutations order that preserves the
+    # product and the unary map; the backtracking search must return it
+    t1, u1 = _parts(s)
+    t2, u2 = _parts(t)
+    n = len(t1)
+    for phi in permutations(range(n)):
+        if all(t2[phi[x]][phi[y]] == phi[t1[x][y]] for x in range(n) for y in range(n)) and (
+            u1 is None or all(u2[phi[x]] == phi[u1[x]] for x in range(n))
+        ):
+            return phi
+    return None
+
+
+def test_find_isomorphism_returns_first_isomorphism():
+    models = _oracle_models()
+    for i, m in enumerate(models):
+        n = m.order
+        reverse = relabel(m, tuple(range(n - 1, -1, -1)))
+        rotate = relabel(m, tuple((x + 1) % n for x in range(n)))
+        other = models[(i + 2) % len(models)]
+        targets = [m, reverse, rotate, other]
+        if isinstance(m, CayleyTable):
+            targets.append(transpose(reverse))  # anti-isomorphic, mostly not isomorphic
+        for target in targets:
+            if target.order == n and type(target) is type(m):
+                assert find_isomorphism(m, target) == first_isomorphism(m, target)
+                assert find_isomorphism(target, m) == first_isomorphism(target, m)
+
+
+def test_find_isomorphism_checks_products_with_new_right_factor():
+    # (0, 2, 1, 3) preserves every product x*y with x >= y and breaks 0*2 = 1,
+    # so only the check of products whose right factor is the element just
+    # assigned rejects it
+    a = CayleyTable([[0, 1, 1, 0], [0, 1, 1, 0], [0, 1, 2, 3], [0, 1, 2, 3]])
+    b = CayleyTable([[0, 0, 2, 2], [0, 1, 2, 3], [0, 0, 2, 2], [0, 1, 2, 3]])
+    assert find_isomorphism(a, b) == first_isomorphism(a, b) == (0, 2, 3, 1)
 
 
 def test_relabel_preserves_validity():

@@ -1,8 +1,8 @@
 import pytest
 
-from epivariants.core import CapExceeded, CayleyTable, identity_of, validate
+from epivariants.core import CapExceeded, CayleyTable, find_isomorphism, identity_of, validate
 from epivariants.corpus import load_corpus
-from epivariants.epigroup import pseudoinverse_map
+from epivariants.epigroup import is_completely_regular, pseudoinverse_map
 from epivariants.search import semigroup_tables
 from epivariants.variants import (
     check_pseudoinverse_transport,
@@ -118,11 +118,48 @@ def test_rho_homomorphism():
         assert check_rho_homomorphism(w.base, c).ok
 
 
+def _witness_variant(t, c):
+    s = pseudoinverse_map(t)
+    return s if c is None else unary_variant(s, c)
+
+
 def test_variant_of_cr_monoid_is_witnessed_by_itself():
     z3 = pseudoinverse_map(load_corpus("z3.sgp"))
     witness = is_unary_variant_of_completely_regular(z3)
     assert witness is not None
     t, c, phi = witness
+    assert is_completely_regular(t)
+    uv = _witness_variant(t, c)
+    assert sorted(phi) == [0, 1, 2]
+    for x in range(3):
+        assert z3.unary[phi[x]] == phi[uv.unary[x]]
+        for y in range(3):
+            assert z3.base.table[phi[x]][phi[y]] == phi[uv.base.table[x][y]]
+
+
+def linear_scan_witness(s):
+    # oracle: try every completely regular table and sandwich element in
+    # order, deciding each by isomorphism search alone
+    n = s.order
+    for t in semigroup_tables(n):
+        if not is_completely_regular(t):
+            continue
+        for c in list(range(n)) + [None]:
+            phi = find_isomorphism(_witness_variant(t, c), s)
+            if phi is not None:
+                return t, c, phi
+    return None
+
+
+def test_indexed_witness_matches_linear_scan():
+    candidates = [
+        m for order in (1, 2, 3, 4)
+        for m in map(pseudoinverse_map, semigroup_tables(order))
+        if in_V(m, 1).holds
+    ]
+    assert len(candidates) == 133
+    for m in candidates:
+        assert is_unary_variant_of_completely_regular(m) == linear_scan_witness(m)
 
 
 def test_unary_variant_of_z3_recognized():
