@@ -81,21 +81,38 @@ def validate(t):
 
     Raises EntryOutOfRange or NotAssociative (carrying the offending triple);
     returns the table unchanged when it is a semigroup.
+
+    Entries are ints (bools and other int subclasses included) in 0..n-1.
+    A row is range-checked cell by cell only when the set test on its types
+    and values fails, so that the error names the first bad entry.
+
+    Associativity is compared one left factor a at a time on strings that
+    hold element x as ``chr(x)``: ``rows[x]`` is row x and ``cells`` is the
+    whole table in row-major order.  ``cells.translate(rows[a])`` is a(bc)
+    and the rows of the elements ab, joined in b order, are (ab)c, both at
+    index b*n + c.  The first index where they differ gives the
+    lexicographically first failing triple (a, b, c).
     """
     n = t.order
-    for a, row in enumerate(t.table):
+    tab = t.table
+    values = set(range(n))
+    rows = []
+    for a, row in enumerate(tab):
         if len(row) != n:
             raise SemigroupError(f"row {a} has length {len(row)}, expected {n}")
-        for b, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise EntryOutOfRange((a, b), v)
-    tab = t.table
-    for a in range(n):
-        for b in range(n):
-            ab = tab[a][b]
-            for c in range(n):
-                if tab[ab][c] != tab[a][tab[b][c]]:
-                    raise NotAssociative((a, b, c))
+        if not (set(map(type, row)) <= {int} and values.issuperset(row)):
+            for b, v in enumerate(row):
+                if not isinstance(v, int) or not 0 <= v < n:
+                    raise EntryOutOfRange((a, b), v)
+        rows.append("".join(map(chr, row)))
+    cells = "".join(rows)
+    row_of = rows.__getitem__
+    for a, row in enumerate(tab):
+        left = "".join(map(row_of, row))
+        right = cells.translate(rows[a])
+        if left != right:
+            i = next(k for k, (x, y) in enumerate(zip(left, right)) if x != y)
+            raise NotAssociative((a, *divmod(i, n)))
     return t
 
 
@@ -235,9 +252,15 @@ def _element_signatures(table, unary):
     n = len(table)
     total = Counter(v for row in table for v in row)
     sigs = []
-    for a in range(n):
-        row = table[a]
-        col = tuple(table[x][a] for x in range(n))
+    for a, row, col in zip(range(n), table, zip(*table)):
+        # index m and period r: the least m, r with a^m = a^(m+r), where
+        # a^(k+1) = a^k a; powers holds a, a^2, ... up to the first repeat
+        powers = [a]
+        x = row[a]
+        while x not in powers:
+            powers.append(x)
+            x = table[x][a]
+        index = powers.index(x) + 1
         sig = (
             row[a] == a,                              # idempotent
             total[a],                                 # occurrences in the table
@@ -245,6 +268,8 @@ def _element_signatures(table, unary):
             col.count(a),
             tuple(sorted(Counter(row).values())),
             tuple(sorted(Counter(col).values())),
+            index,
+            len(powers) + 1 - index,                  # period
         )
         if unary is not None:
             sig += (unary[a] == a, unary.count(a))
@@ -418,8 +443,9 @@ def anti_canonical_form(s):
 
 
 # ---------------------------------------------------------------------------
-# Text format: first line n, then n rows of n space-separated integers,
-# optionally a line "unary: i0 i1 ... i(n-1)".  '#' starts a comment line.
+# Text format: first line n >= 1, then n rows of n space-separated integers,
+# optionally a line "unary: i0 i1 ... i(n-1)", which must be the last line.
+# '#' starts a comment line.
 
 def parse_semigroup(text):
     lines = []
@@ -430,6 +456,8 @@ def parse_semigroup(text):
     if not lines:
         raise SemigroupError("empty input")
     n = int(lines[0])
+    if n < 1:
+        raise SemigroupError(f"order must be a positive integer, got {n}")
     if len(lines) < n + 1:
         raise SemigroupError(f"expected {n} table rows, got {len(lines) - 1}")
     rows = []
@@ -449,6 +477,8 @@ def parse_semigroup(text):
     if rest:
         if not rest[0].startswith("unary:"):
             raise SemigroupError(f"unexpected line: {rest[0]!r}")
+        if len(rest) > 1:
+            raise SemigroupError(f"unexpected line after the unary map: {rest[1]!r}")
         unary = tuple(int(v) for v in rest[0][len("unary:"):].split())
         validate(t)  # the canonical flag below needs a genuine semigroup
         from .epigroup import pseudoinverse_map  # deferred: epigroup builds on core

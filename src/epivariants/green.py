@@ -1,7 +1,11 @@
 """Green's relations and group H-class detection.
 
-R, L and J are computed directly from principal ideals over S^1, H as the
-intersection of R and L, and D as the relational composition R o L.  For
+R and L are computed directly from the principal ideals aS^1 and S^1a, H as
+the intersection of R and L.  The two-sided ideal S^1aS^1 = {x(ay)} behind J
+is the union of the left ideals S^1v over v in aS^1, which is the same set on
+any finite magma.  D is the relational composition R o L: a D b iff some
+element lies in both R_a and L_b, read off the set of (R-class, L-class)
+pairs that occur.  L o R is read off the same set and must agree.  For
 finite semigroups D = J; both are computed independently and compared, so a
 disagreement signals a corrupted table rather than a mathematical surprise.
 """
@@ -52,41 +56,35 @@ def idempotents(t):
 def green(t):
     n = t.order
     s1 = adjoin_identity(t).table
-    m = len(s1)
 
-    right = [frozenset(s1[a][x] for x in range(m)) | {a} for a in range(n)]
-    left = [frozenset(s1[x][a] for x in range(m)) | {a} for a in range(n)]
-    two = [
-        frozenset(s1[x][s1[a][y]] for x in range(m) for y in range(m)) | {a}
-        for a in range(n)
-    ]
+    right = [frozenset(s1[a]) | {a} for a in range(n)]
+    left = [frozenset(row[a] for row in s1) | {a} for a in range(n)]
+    # S^1aS^1 = {x(ay)} is the union of the left ideals S^1v over v in aS^1
+    two = [frozenset().union(*(left[v] for v in right[a])) for a in range(n)]
 
     r_class = _classes_by_key(right)
     l_class = _classes_by_key(left)
     h_class = _classes_by_key(list(zip(r_class, l_class)))
     j_class = _classes_by_key(two)
 
-    # D = R o L; also verify L o R gives the same relation and that D = J
-    d_rel = [
-        [
-            any(r_class[a] == r_class[z] and l_class[z] == l_class[b] for z in range(n))
-            for b in range(n)
-        ]
-        for a in range(n)
-    ]
+    # a (R o L) b iff some z has R_z = R_a and L_z = L_b, i.e. the pair of
+    # classes (R_a, L_b) is occupied; a (L o R) b iff (R_b, L_a) is.  Check
+    # that the two agree and that D = J; D's classes are then J's.
+    pairs = set(zip(r_class, l_class))
     for a in range(n):
         for b in range(n):
-            lor = any(l_class[a] == l_class[z] and r_class[z] == r_class[b] for z in range(n))
-            if lor != d_rel[a][b]:
+            rol = (r_class[a], l_class[b]) in pairs
+            if ((r_class[b], l_class[a]) in pairs) != rol:
                 raise GreenError(f"R o L != L o R at ({a},{b})")
-            if d_rel[a][b] != (j_class[a] == j_class[b]):
+            if rol != (j_class[a] == j_class[b]):
                 raise GreenError(f"D != J at ({a},{b})")
-    d_class = _classes_by_key(tuple(tuple(row) for row in d_rel))
+    d_class = j_class
 
     idem = idempotents(t)
+    idem_h = {h_class[e] for e in idem}
     groups = set()
     for a in range(n):
-        has_idem = any(h_class[e] == h_class[a] for e in idem)
+        has_idem = h_class[a] in idem_h
         square_in = h_class[t.table[a][a]] == h_class[a]
         if has_idem != square_in:
             raise GreenError(f"group H-class criteria disagree at element {a}")

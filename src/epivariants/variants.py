@@ -24,14 +24,11 @@ class CheckReport:
 
 
 def variant(t, c):
-    """The table of a *_c b = acb."""
-    n = t.order
+    """The table of a *_c b = acb: row a is row ac of t."""
     tab = t.table
-    if not 0 <= c < n:
+    if not 0 <= c < t.order:
         raise ValueError(f"sandwich element {c} out of range")
-    return CayleyTable.from_rows(
-        [[tab[tab[a][c]][b] for b in range(n)] for a in range(n)]
-    )
+    return CayleyTable.from_rows([tab[row[c]] for row in tab])
 
 
 def star(s, c):

@@ -47,6 +47,13 @@ def test_validate_failure(tmp_path, capsys):
     assert report["checks"][0]["status"] == "fail"
 
 
+def test_validate_malformed_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "trailing.sgp"
+    path.write_text("1\n0\nunary: 0\nunary: 0\n")
+    assert main(["validate", str(path)]) == 2
+    assert "unexpected line after the unary map" in capsys.readouterr().err
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["validate", "/nonexistent.sgp"]) == 2
     assert "error:" in capsys.readouterr().err

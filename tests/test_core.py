@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from itertools import permutations, product as iproduct
 
 import pytest
@@ -7,8 +9,10 @@ from epivariants.core import (
     CayleyTable,
     EntryOutOfRange,
     NotAssociative,
+    SemigroupError,
     Transformation,
     UnarySemigroup,
+    _element_signatures,
     adjoin_identity,
     canonical_form,
     compose,
@@ -54,6 +58,85 @@ def test_validate_not_associative_carries_witness():
         validate(t)
     a, b, c = exc.value.witness
     assert t.table[t.table[a][b]][c] != t.table[a][t.table[b][c]]
+
+
+def validate_oracle(t):
+    # oracle: shape and range per row, then associativity by a triple loop
+    # in lexicographic order; the first failure is raised
+    tab = t.table
+    n = len(tab)
+    for a, row in enumerate(tab):
+        if len(row) != n:
+            raise SemigroupError(f"row {a} has length {len(row)}, expected {n}")
+        for b, v in enumerate(row):
+            if not isinstance(v, int) or not 0 <= v < n:
+                raise EntryOutOfRange((a, b), v)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if tab[tab[a][b]][c] != tab[a][tab[b][c]]:
+                    raise NotAssociative((a, b, c))
+    return t
+
+
+def _outcome(check, t):
+    try:
+        check(t)
+    except SemigroupError as exc:
+        return (type(exc), str(exc), getattr(exc, "witness", None),
+                getattr(exc, "position", None), repr(getattr(exc, "value", None)))
+    return "ok"
+
+
+def _random_tables(rng, count):
+    families = (
+        lambda n, a, b: (a + b) % n,   # cyclic group
+        lambda n, a, b: a,             # left zero
+        lambda n, a, b: b,             # right zero
+        lambda n, a, b: min(a, b),     # chain semilattice
+    )
+    bad_entries = (None, -1, 1.0, True, False, "x")
+    for _ in range(count):
+        n = rng.randrange(8)
+        if rng.random() < 0.5:
+            f = rng.choice(families)
+            rows = [[f(n, a, b) for b in range(n)] for a in range(n)]
+            if n and rng.random() < 0.6:
+                rows[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        else:
+            rows = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        if n and rng.random() < 0.25:
+            bad = rng.choice(bad_entries)
+            rows[rng.randrange(n)][rng.randrange(n)] = n if bad is None else bad
+        if n and rng.random() < 0.05:
+            rows[rng.randrange(n)].pop()
+        yield CayleyTable(rows)
+
+
+def test_validate_matches_triple_loop_oracle():
+    rng = random.Random(20191113)
+    tables = list(_random_tables(rng, 4000))
+    tables += [t for order in (1, 2, 3, 4) for t in semigroup_tables(order)]
+    outcomes = Counter()
+    for t in tables:
+        expected = _outcome(validate_oracle, t)
+        assert _outcome(validate, t) == expected, t.table
+        outcomes[expected if expected == "ok" else expected[0]] += 1
+    # every outcome occurs often enough to be exercised
+    assert min(outcomes.values()) >= 50, outcomes
+    assert set(outcomes) == {"ok", SemigroupError, EntryOutOfRange, NotAssociative}
+
+
+def test_validate_large_order_matches_oracle():
+    # order 150 puts elements above code point 127
+    n = 150
+    rows = [[(a + b) % n for b in range(n)] for a in range(n)]
+    assert validate(CayleyTable(rows))
+    rows[97][131] = 140
+    t = CayleyTable(rows)
+    expected = _outcome(validate_oracle, t)
+    assert expected[0] is NotAssociative
+    assert _outcome(validate, t) == expected
 
 
 def test_product():
@@ -311,3 +394,40 @@ def test_corpus_comments_ignored():
     text = corpus_text("z2.sgp")
     assert text.startswith("#")
     assert parse_semigroup(text) == Z2
+
+
+def test_element_signatures_split_s4_by_order():
+    # S_4 as permutations of degree 4: the index/period part of the
+    # signature separates elements of order 1, 2, 3 and 4, where the
+    # table statistics alone only single out the identity
+    gens = [Transformation(4, (1, 0, 2, 3)), Transformation(4, (1, 2, 3, 0))]
+    t, _ = generate_from_transformations(gens)
+    assert t.order == 24
+    sizes = sorted(Counter(_element_signatures(t.table, None)).values())
+    assert sizes == [1, 6, 8, 9]
+    without_powers = Counter(sig[:-2] for sig in _element_signatures(t.table, None))
+    assert sorted(without_powers.values()) == [1, 23]
+    perm = tuple(random.Random(4).sample(range(24), 24))
+    assert find_isomorphism(t, relabel(t, perm)) is not None
+
+
+def test_element_signatures_index_and_period():
+    # the monogenic semigroup a, a^2, a^3 with a^4 = a^2 (elements 0, 1, 2):
+    # a has index 2 and period 2, a^2 is idempotent, a^3 generates {a^2, a^3}
+    t = CayleyTable([[1, 2, 1], [2, 1, 2], [1, 2, 1]])
+    validate(t)
+    sigs = _element_signatures(t.table, None)
+    assert [sig[-2:] for sig in sigs] == [(2, 2), (1, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0\n", "order must be a positive integer, got 0"),
+    ("-1\n", "order must be a positive integer, got -1"),
+    ("1\n0\nunary: 0\nunary: 0\n", "unexpected line after the unary map: 'unary: 0'"),
+    ("1\n0\nunary: 0\n0\n", "unexpected line after the unary map: '0'"),
+    ("2\n0 0\n0 0\nunary: 0 0\n# note\n1 1\n", "unexpected line after the unary map: '1 1'"),
+])
+def test_parse_rejects_malformed_structure(text, message):
+    with pytest.raises(SemigroupError) as exc:
+        parse_semigroup(text)
+    assert str(exc.value) == message

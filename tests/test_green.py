@@ -1,6 +1,10 @@
-from epivariants.core import CayleyTable, adjoin_identity
+import pytest
+
+from epivariants.core import CayleyTable, Transformation, adjoin_identity, generate_from_transformations
 from epivariants.corpus import load_corpus
-from epivariants.green import green, idempotents, is_group_h_class
+from epivariants.green import GreenError, green, idempotents, is_group_h_class
+from epivariants.search import semigroup_tables
+from epivariants.variants import variant
 
 LEFT_ZERO = CayleyTable([[0, 0], [1, 1]])
 NULL2 = CayleyTable([[0, 0], [0, 0]])
@@ -74,3 +78,64 @@ def test_class_maps_iso_invariant():
             for b in range(4):
                 assert (g.h_class[a] == g.h_class[b]) == (gp.h_class[p[a]] == gp.h_class[p[b]])
                 assert (g.j_class[a] == g.j_class[b]) == (gp.j_class[p[a]] == gp.j_class[p[b]])
+
+
+def _ids(rel):
+    # class ids numbered by smallest member, as green numbers them
+    ids = {}
+    return tuple(ids.setdefault(min(b for b in range(len(rel)) if rel[a][b]), len(ids))
+                 for a in range(len(rel)))
+
+
+def green_oracle(t):
+    # oracle: principal ideals over S^1 by loops from the definition, H as
+    # R and L, D by scanning for a z with a R z L b
+    n = t.order
+    s1 = adjoin_identity(t).table
+    m = len(s1)
+    right = [{a} | {s1[a][x] for x in range(m)} for a in range(n)]
+    left = [{a} | {s1[x][a] for x in range(m)} for a in range(n)]
+    two = [{a} | {s1[x][s1[a][y]] for x in range(m) for y in range(m)} for a in range(n)]
+    r = [[right[a] == right[b] for b in range(n)] for a in range(n)]
+    l = [[left[a] == left[b] for b in range(n)] for a in range(n)]
+    j = [[two[a] == two[b] for b in range(n)] for a in range(n)]
+    h = [[r[a][b] and l[a][b] for b in range(n)] for a in range(n)]
+    d = [[any(r[a][z] and l[z][b] for z in range(n)) for b in range(n)] for a in range(n)]
+    idem = {e for e in range(n) if t.table[e][e] == e}
+    h_ids = _ids(h)
+    groups = {h_ids[a] for a in range(n) if any(h[a][e] for e in idem)}
+    return (_ids(r), _ids(l), h_ids, _ids(d), _ids(j), idem, groups)
+
+
+def _oracle_tables():
+    for order in (1, 2, 3, 4):
+        for t in semigroup_tables(order):
+            yield t
+            for c in range(order):
+                yield variant(t, c)
+    # full transformation monoid T_3 (order 27) and a closure of order 6
+    for gens in (((1, 0, 2), (1, 2, 0), (0, 0, 2)), ((0, 0, 1), (1, 0, 0))):
+        t, _ = generate_from_transformations([Transformation(3, g) for g in gens])
+        yield t
+
+
+def test_green_matches_oracle():
+    tables = list(_oracle_tables())
+    assert len(tables) == 218 + 835 + 2
+    assert tables[-2].order == 27 and tables[-1].order == 6
+    for t in tables:
+        g = green(t)
+        got = (g.r_class, g.l_class, g.h_class, g.d_class, g.j_class,
+               g.idempotents, g.group_h_classes)
+        assert got == green_oracle(t), t.table
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 0], [0, 0]], "group H-class criteria disagree at element 0"),
+    ([[0, 0, 0], [0, 0, 0], [1, 2, 0]], "D != J at (1,2)"),
+    ([[0, 0, 0], [0, 0, 2], [2, 1, 0]], "R o L != L o R at (0,1)"),
+])
+def test_green_cross_checks_reject_non_associative_magmas(rows, message):
+    with pytest.raises(GreenError) as exc:
+        green(CayleyTable(rows))
+    assert str(exc.value) == message
