@@ -13,9 +13,10 @@ from itertools import product as iproduct
 from .conjugacy import check_transitivity, conjugacy_classes, primary_conjugacy
 from .core import (
     CayleyTable,
+    _element_signatures,
+    _isomorphism_search,
     adjoin_identity,
     canonical_form,
-    find_isomorphism,
     identity_of,
 )
 from .corpus import corpus_names, load_corpus
@@ -277,9 +278,15 @@ def check_oracles():
     for order in (1, 2, 3, 4):
         tables = semigroup_tables(order)
         forms = [canonical_form(t) for t in tables]
+        # find_isomorphism's search runs on every pair, never skipped on
+        # canonical forms, which it is checked against; each table's element
+        # signatures are computed once
+        rows = [t.table for t in tables]
+        sigs = [_element_signatures(r, None) for r in rows]
         for i in range(len(tables)):
             for j in range(i, len(tables)):
-                iso = find_isomorphism(tables[i], tables[j]) is not None
+                phi = _isomorphism_search(rows[i], None, sigs[i], rows[j], None, sigs[j])
+                iso = phi is not None
                 if iso != (forms[i] == forms[j]):
                     problems.append(f"iso/canonical mismatch at order {order} ({i},{j})")
     for name in corpus_names():

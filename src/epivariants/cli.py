@@ -27,7 +27,14 @@ from .epigroup import epigroup_data, pseudoinverse_map, verify_epigroup_identiti
 from .green import green
 from .search import SearchSpec, count_semigroups, enumerate_models
 from .variants import unary_variant, variant
-from .varieties import in_E, in_V, in_W, parse_identity, find_counterexample
+from .varieties import (
+    IdentityParseError,
+    find_counterexample,
+    in_E,
+    in_V,
+    in_W,
+    parse_identity,
+)
 
 
 class ReportBuilder:
@@ -234,17 +241,25 @@ def cmd_conjugacy(args, argv):
     return 0
 
 
+def _read_identities(path):
+    """One identity a line; a line starting with '#' is a comment."""
+    identities = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            if line.strip() and not line.startswith("#"):
+                try:
+                    identities.append(parse_identity(line.strip()))
+                except IdentityParseError as exc:
+                    raise IdentityParseError(f"{path}, line {lineno}: {exc}") from None
+    return tuple(identities)
+
+
 def cmd_enumerate(args, argv):
     identities = ()
     if args.identities:
         try:
-            with open(args.identities) as fh:
-                identities = tuple(
-                    parse_identity(line)
-                    for line in fh
-                    if line.strip() and not line.startswith("#")
-                )
-        except (OSError, Exception) as exc:
+            identities = _read_identities(args.identities)
+        except (OSError, ValueError, IdentityParseError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     filters = tuple(f.strip() for f in (args.filter or "").split(",") if f.strip())
@@ -350,7 +365,6 @@ def build_parser():
 
     p = add("verify-paper", cmd_verify_paper, help="run the full verification suite")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
 
     return parser
 

@@ -35,12 +35,10 @@ class ConjugacyReport:
     classes: tuple
 
 
-def primary_conjugacy(t, over_s1=True):
-    """The primary conjugacy relation on S.  x and y range over S^1 by
-    default; ``over_s1=False`` restricts them to S (non-standard, for
-    comparative exploration only)."""
+def primary_conjugacy(t):
+    """The primary conjugacy relation on S, with x and y ranging over S^1."""
     n = t.order
-    s1 = adjoin_identity(t).table if over_s1 else t.table
+    s1 = adjoin_identity(t).table
     m = len(s1)
     bits = [[False] * n for _ in range(n)]
     for x in range(m):
@@ -52,10 +50,9 @@ def primary_conjugacy(t, over_s1=True):
                 bits[a][b] = True
                 bits[b][a] = True
     rel = BinaryRelation(n, bits)
-    if over_s1:
-        for a in range(n):
-            if not rel.bits[a][a]:
-                raise SemigroupError(f"primary conjugacy not reflexive at {a}")
+    for a in range(n):
+        if not rel.bits[a][a]:
+            raise SemigroupError(f"primary conjugacy not reflexive at {a}")
     _require_symmetric(rel)
     return rel
 

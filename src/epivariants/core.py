@@ -284,11 +284,17 @@ def find_isomorphism(s, t):
     t2, u2 = _unpack(t)
     if (u1 is None) != (u2 is None):
         raise TypeError("cannot compare a plain table with a unary semigroup")
-    n = len(t1)
-    if n != len(t2):
+    if len(t1) != len(t2):
         return None
-    sig1 = _element_signatures(t1, u1)
-    sig2 = _element_signatures(t2, u2)
+    return _isomorphism_search(
+        t1, u1, _element_signatures(t1, u1), t2, u2, _element_signatures(t2, u2)
+    )
+
+
+def _isomorphism_search(t1, u1, sig1, t2, u2, sig2):
+    """find_isomorphism on tables of one order and kind whose element
+    signatures are already computed; the first phi in backtracking order."""
+    n = len(t1)
     if sorted(sig1) != sorted(sig2):
         return None
     candidates = [[b for b in range(n) if sig2[b] == sig1[a]] for a in range(n)]
@@ -447,22 +453,44 @@ def anti_canonical_form(s):
 # optionally a line "unary: i0 i1 ... i(n-1)", which must be the last line.
 # '#' starts a comment line.
 
+def _integers(lineno, line):
+    """The whitespace-separated integers of input line ``lineno``."""
+    tokens = line.split()
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        bad = next(tok for tok in tokens if not _is_integer(tok))
+        raise SemigroupError(f"line {lineno}: {bad!r} is not an integer") from None
+
+
+def _is_integer(token):
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
+
+
 def parse_semigroup(text):
-    lines = []
-    for raw in text.splitlines():
+    lines = []  # (line number, stripped text) of the lines that carry data
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if line and not line.startswith("#"):
-            lines.append(line)
+            lines.append((lineno, line))
     if not lines:
         raise SemigroupError("empty input")
-    n = int(lines[0])
+    lineno, first = lines[0]
+    try:
+        n = int(first)
+    except ValueError:
+        raise SemigroupError(f"line {lineno}: order {first!r} is not an integer") from None
     if n < 1:
         raise SemigroupError(f"order must be a positive integer, got {n}")
     if len(lines) < n + 1:
         raise SemigroupError(f"expected {n} table rows, got {len(lines) - 1}")
     rows = []
     for i in range(n):
-        row = tuple(int(v) for v in lines[1 + i].split())
+        row = _integers(*lines[1 + i])
         if len(row) != n:
             raise SemigroupError(f"row {i} has {len(row)} entries, expected {n}")
         rows.append(row)
@@ -473,13 +501,13 @@ def parse_semigroup(text):
             if not 0 <= v < n:
                 raise EntryOutOfRange((i, j), v)
     t = CayleyTable(rows)
-    rest = lines[1 + n:]
+    rest = [line for _, line in lines[1 + n:]]
     if rest:
         if not rest[0].startswith("unary:"):
             raise SemigroupError(f"unexpected line: {rest[0]!r}")
         if len(rest) > 1:
             raise SemigroupError(f"unexpected line after the unary map: {rest[1]!r}")
-        unary = tuple(int(v) for v in rest[0][len("unary:"):].split())
+        unary = _integers(lines[1 + n][0], rest[0][len("unary:"):])
         validate(t)  # the canonical flag below needs a genuine semigroup
         from .epigroup import pseudoinverse_map  # deferred: epigroup builds on core
         s = UnarySemigroup(t, unary)

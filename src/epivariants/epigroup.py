@@ -13,6 +13,7 @@ from functools import lru_cache
 
 from .core import UnarySemigroup
 from .green import green, is_group_h_class
+from .varieties import find_counterexample, parse_identity
 
 
 class EpigroupError(Exception):
@@ -77,19 +78,28 @@ def is_completely_regular(t):
     return all(k == 1 for k in epigroup_data(t).index)
 
 
+PSEUDOINVERSE_IDENTITIES = tuple(
+    parse_identity(text)
+    for text in (
+        "x'*x*x' = x'",
+        "x*x' = x'*x",
+        "x''' = x'",
+        "x*x'*x = x''",
+        "(x*y)'*x = x*(y*x)'",
+    )
+)
+
+
+@lru_cache(maxsize=16)
+def _power_identities(primes):
+    """(x^p)' = x'^p for each p in primes, parsed once per primes value."""
+    return tuple(parse_identity(f"(x^{p})' = x'^{p}") for p in primes)
+
+
 def verify_epigroup_identities(s, primes=(2, 3)):
     """Check the unary-semigroup identities that hold whenever the unary map
     is the pseudoinverse.  Returns a list of (identity, counterexample) with
     counterexample None on success.
     """
-    from .varieties import find_counterexample, parse_identity
-
-    identities = [
-        parse_identity("x'*x*x' = x'"),
-        parse_identity("x*x' = x'*x"),
-        parse_identity("x''' = x'"),
-        parse_identity("x*x'*x = x''"),
-        parse_identity("(x*y)'*x = x*(y*x)'"),
-    ]
-    identities.extend(parse_identity(f"(x^{p})' = x'^{p}") for p in primes)
+    identities = PSEUDOINVERSE_IDENTITIES + _power_identities(tuple(primes))
     return [(ident, find_counterexample(s, ident)) for ident in identities]

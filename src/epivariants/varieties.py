@@ -9,9 +9,8 @@ single-letter variables, parentheses as usual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iproduct
-
-from .epigroup import is_completely_regular
 
 
 class UnboundVariable(Exception):
@@ -188,12 +187,60 @@ def eval_term(term, s, env):
     return s.base.table[eval_term(term[1], s, env)][eval_term(term[2], s, env)]
 
 
-def find_counterexample(s, identity):
-    """Brute force over all |S|^k assignments; the lexicographically first
-    failing environment, or None if the identity holds."""
+def _render(term, slots):
+    # the term as a nested index expression over T (table), U (unary map) and
+    # the variable slots v0, v1, ...; no text of the term enters the source
+    kind = term[0]
+    if kind == "var":
+        return f"v{slots[term[1]]}"
+    if kind == "prime":
+        return f"U[{_render(term[1], slots)}]"
+    return f"T[{_render(term[1], slots)}][{_render(term[2], slots)}]"
+
+
+@lru_cache(maxsize=256)
+def _compiled(identity):
+    """``(identity.variables, kernel)``: kernel(T, U, R) runs one nested loop
+    over R per variable and returns the first failing assignment as a tuple,
+    or None.  The kernel is None when the terms nest too deeply for the
+    compiler (about 200 levels)."""
     names = identity.variables
-    n = s.order
-    for values in iproduct(range(n), repeat=len(names)):
+    slots = {name: i for i, name in enumerate(names)}
+    k = len(slots)
+    try:
+        lhs, rhs = _render(identity.lhs, slots), _render(identity.rhs, slots)
+        lines = ["def kernel(T, U, R):"]
+        lines += [" " * (4 + 4 * i) + f"for v{i} in R:" for i in range(k)]
+        pad = " " * (4 + 4 * k)
+        hit = "".join(f"v{i}, " for i in range(k))
+        lines += [f"{pad}if {lhs} != {rhs}:", f"{pad}    return ({hit})", "    return None"]
+        namespace = {}
+        exec(compile("\n".join(lines), "<identity kernel>", "exec"), namespace)
+    except (SyntaxError, RecursionError, MemoryError):
+        return names, None
+    return names, namespace["kernel"]
+
+
+def find_counterexample(s, identity):
+    """The lexicographically first failing assignment, as a dict in
+    ``identity.variables`` order, or None if the identity holds.
+
+    Each distinct identity is compiled once (cached by value) into a Python
+    function with one nested loop per variable, in ``identity.variables``
+    order, around ``if lhs != rhs``.  Terms become nested index expressions
+    (``T[l][r]`` for a product, ``U[c]`` for the unary image) over slots
+    v0, v1, ...; the source is built from the term tree alone, so no text
+    of the identity reaches it.  The loops run in ``itertools.product``
+    order, and Python evaluates lhs before rhs and left before right, as
+    ``eval_term`` does: the result, and any exception from a bad unary map,
+    is the one the brute force over ``eval_term`` gives.  Terms nested too
+    deeply to compile take that brute force instead.
+    """
+    names, kernel = _compiled(identity)
+    if kernel is not None:
+        hit = kernel(s.base.table, s.unary, range(s.order))
+        return None if hit is None else dict(zip(names, hit))
+    for values in iproduct(range(s.order), repeat=len(names)):
         env = dict(zip(names, values))
         if eval_term(identity.lhs, s, env) != eval_term(identity.rhs, s, env):
             return env
@@ -222,13 +269,6 @@ def _check_identities(name, s, identities):
 
 EQ_PINV_FIXED = parse_identity("x'*x*x' = x'")
 EQ_COMMUTE = parse_identity("x*x' = x'*x")
-
-
-def _power_prefix_identity(prefix_power, n, tail):
-    # term x^n with n possibly 0 (empty prefix), followed by tail factors
-    x = tvar("x")
-    factors = [x] * prefix_power + tail
-    return tproduct(factors) if factors else None
 
 
 def e_identity(n):
@@ -336,7 +376,7 @@ def in_W_structural(t):
     """Three equivalent structural criteria, asserted to agree:
     every product xy is completely regular; every principal left ideal Sc is
     a completely regular subsemigroup; likewise every cS."""
-    from .epigroup import epigroup_data
+    from .epigroup import epigroup_data, is_completely_regular
 
     n = t.order
     index = epigroup_data(t).index

@@ -22,3 +22,18 @@ def test_acceptance(name, capsys):
 
 def test_every_check_is_covered():
     assert len(CHECKS) == 10
+
+
+def test_oracle_check_searches_every_pair(monkeypatch):
+    # the isomorphism search runs on every pair of order <= 4, whatever the
+    # canonical forms say: 1 + 15 + 300 + 17,766 pairs
+    calls = []
+    search = checks._isomorphism_search
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return search(*args)
+
+    monkeypatch.setattr(checks, "_isomorphism_search", counted)
+    assert checks.check_oracles().ok
+    assert [calls.count(n) for n in (1, 2, 3, 4)] == [1, 15, 300, 17766]

@@ -188,3 +188,38 @@ def test_verify_paper_reports_broken_check(capsys, monkeypatch):
     assert code == 1
     failed = [c for c in report["checks"] if c["status"] == "fail"]
     assert [c["name"] for c in failed] == ["group-sanity"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x\n0\n", "line 1: order 'x' is not an integer"),
+    ("# a comment\n2\n0 1\n1 0.5\n", "line 4: '0.5' is not an integer"),
+    ("1\n0\nunary: y\n", "line 3: 'y' is not an integer"),
+])
+def test_validate_non_integer_is_usage_error(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.sgp"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_enumerate_missing_identities_file(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    assert main(["enumerate", "--order", "2", "--identities", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 2] No such file or directory")
+    assert str(missing) in err
+
+
+def test_enumerate_unparsable_identity(tmp_path, capsys):
+    path = tmp_path / "idents.txt"
+    path.write_text("x*y = y*x\nx =\n")
+    assert main(["enumerate", "--order", "2", "--identities", str(path)]) == 2
+    message = f"error: {path}, line 2: unexpected end of term in ''\n"
+    assert capsys.readouterr().err == message
+
+
+def test_enumerate_undecodable_identities_file(tmp_path, capsys):
+    path = tmp_path / "idents.txt"
+    path.write_bytes(b"x*y = y*x\n\xff\xfe\n")
+    assert main(["enumerate", "--order", "2", "--identities", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

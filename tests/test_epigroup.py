@@ -82,6 +82,28 @@ def test_verify_identities_swapped_unary_fails():
     assert env == {"x": 0}
 
 
+PSEUDOINVERSE_TEXTS = [
+    "x'*x*x' = x'",
+    "x*x' = x'*x",
+    "x''' = x'",
+    "x*x'*x = x''",
+    "(x*y)'*x = x*(y*x)'",
+]
+
+
+def test_verify_identities_list_and_order():
+    s = pseudoinverse_map(NULL2)
+    first = [ident for ident, _ in verify_epigroup_identities(s)]
+    texts = PSEUDOINVERSE_TEXTS + ["(x^2)' = x'^2", "(x^3)' = x'^3"]
+    assert first == [parse_identity(text) for text in texts]
+    # parsed once, not on every call
+    again = [ident for ident, _ in verify_epigroup_identities(s)]
+    assert all(a is b for a, b in zip(first, again))
+    other = [ident for ident, _ in verify_epigroup_identities(s, primes=[5, 2])]
+    texts = PSEUDOINVERSE_TEXTS + ["(x^5)' = x'^5", "(x^2)' = x'^2"]
+    assert other == [parse_identity(text) for text in texts]
+
+
 def test_verify_identities_trivial():
     one = UnarySemigroup(CayleyTable([[0]]), (0,))
     assert all(env is None for _, env in verify_epigroup_identities(one))

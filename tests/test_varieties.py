@@ -1,12 +1,19 @@
+from itertools import product
+
 import pytest
 
+from epivariants import varieties
 from epivariants.core import CayleyTable, UnarySemigroup
 from epivariants.corpus import load_corpus
 from epivariants.epigroup import pseudoinverse_map
 from epivariants.search import semigroup_tables
+from epivariants.variants import unary_variant
 from epivariants.varieties import (
+    Identity,
     IdentityParseError,
     UnboundVariable,
+    e_identity,
+    e_identity_alt,
     eval_term,
     find_counterexample,
     in_E,
@@ -16,8 +23,12 @@ from epivariants.varieties import (
     parse_identity,
     parse_term,
     satisfies,
+    tdot,
     term_text,
+    tprime,
     tvar,
+    v_identity_1,
+    v_identity_2,
 )
 
 NULL2 = CayleyTable([[0, 0], [0, 0]])
@@ -151,3 +162,140 @@ def test_in_W_agrees_with_structural():
     for order in (1, 2, 3):
         for t in semigroup_tables(order):
             assert in_W(pseudoinverse_map(t)).holds == in_W_structural(t)
+
+
+# --------------------------------------------------------------------------
+# find_counterexample's compiled kernel against a brute force over eval_term
+
+
+def brute_force_counterexample(s, identity):
+    names = identity.variables
+    for values in product(range(s.order), repeat=len(names)):
+        env = dict(zip(names, values))
+        if eval_term(identity.lhs, s, env) != eval_term(identity.rhs, s, env):
+            return env
+    return None
+
+
+def kernel_models():
+    """Every table of order <= 4 with its pseudoinverse map and each of its
+    unary variants, then every unary map on every table of order <= 3."""
+    models = []
+    for order in (1, 2, 3, 4):
+        for t in semigroup_tables(order):
+            s = pseudoinverse_map(t)
+            models.append(s)
+            models.extend(unary_variant(s, c) for c in range(order))
+    for order in (1, 2, 3):
+        for t in semigroup_tables(order):
+            models.extend(UnarySemigroup(t, u) for u in product(range(order), repeat=order))
+    return models
+
+
+KERNEL_IDENTITIES = (
+    [getattr(varieties, name) for name in sorted(dir(varieties)) if name.startswith("EQ_")]
+    + [f(n) for n in (1, 2, 3, 4) for f in (e_identity, e_identity_alt, v_identity_1, v_identity_2)]
+    + [parse_identity("x*y*z = z*y*x"), parse_identity("(x*y*z)' = z'*y'*x'")]
+)
+
+
+def test_kernel_matches_brute_force():
+    models = kernel_models()
+    assert len(models) == 1722
+    assert len(KERNEL_IDENTITIES) == 23
+    for s in models:
+        for identity in KERNEL_IDENTITIES:
+            got = find_counterexample(s, identity)
+            expected = brute_force_counterexample(s, identity)
+            # the same assignment, keys in the same order
+            assert (got is None) == (expected is None), (s, identity)
+            if got is not None:
+                assert list(got.items()) == list(expected.items()), (s, identity)
+
+
+def test_kernel_takes_no_text_from_the_identity():
+    # variable names that are not Python identifiers, one of them Python code
+    a, b = tvar("a b"), tvar("__import__('os')")
+    identity = Identity(tdot(a, tprime(b)), tdot(tprime(b), a))
+    assert identity.variables == ["__import__('os')", "a b"]
+    for s in kernel_models()[:300]:
+        got = find_counterexample(s, identity)
+        expected = brute_force_counterexample(s, identity)
+        assert got == expected
+        if got is not None:
+            assert list(got) == identity.variables
+
+
+def test_kernel_cached_by_value():
+    varieties._compiled.cache_clear()
+    s = pseudoinverse_map(NULL2)
+    for _ in range(3):
+        find_counterexample(s, e_identity(2))
+        find_counterexample(s, parse_identity("x*x' = x'*x"))
+    info = varieties._compiled.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
+
+
+def test_kernel_deep_term_falls_back_to_eval_term():
+    # too deeply nested for the compiler; the brute force answers instead
+    identity = parse_identity("x^300 = x^2")
+    assert varieties._compiled(identity)[1] is None
+    for name in ("z3.sgp", "null2.sgp", "w_not_v1.sgp"):
+        s = canonical(name)
+        assert find_counterexample(s, identity) == brute_force_counterexample(s, identity)
+
+
+@pytest.mark.parametrize("unary", [(0, 5), (2, 0), (0, -1)])
+def test_kernel_bad_unary_map_behaves_like_eval_term(unary):
+    # an entry out of range raises the oracle's exception at the same
+    # assignment; a negative one indexes from the end in both
+    s = UnarySemigroup(CayleyTable([[0, 1], [1, 0]]), unary)
+    for identity in (parse_identity("x*x' = x'*x"), parse_identity("x'' = x")):
+        try:
+            expected = brute_force_counterexample(s, identity)
+        except IndexError as exc:
+            with pytest.raises(IndexError) as got:
+                find_counterexample(s, identity)
+            assert str(got.value) == str(exc)
+        else:
+            assert unary == (0, -1)
+            assert find_counterexample(s, identity) == expected
+
+
+class Recording:
+    """A sequence that logs every subscript, to compare evaluation orders."""
+
+    def __init__(self, name, items, log):
+        self.name, self.items, self.log = name, items, log
+
+    def __getitem__(self, i):
+        self.log.append((self.name, i))
+        return self.items[i]
+
+    def __len__(self):
+        return len(self.items)
+
+
+def recording_model(table, unary, log):
+    s = UnarySemigroup(CayleyTable(table), unary)
+    rows = tuple(Recording(f"T{a}", row, log) for a, row in enumerate(table))
+    object.__setattr__(s.base, "table", Recording("T", rows, log))
+    object.__setattr__(s, "unary", Recording("U", tuple(unary), log))
+    return s
+
+
+@pytest.mark.parametrize("unary", [(2, 0, 1), (1, 2, 0), (0, 1, 3)])
+def test_kernel_evaluates_in_eval_term_order(unary):
+    # the same cells and unary images, read in the same order, up to the
+    # same counterexample or exception
+    table = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    for identity in KERNEL_IDENTITIES:
+        logs = []
+        for fn in (brute_force_counterexample, find_counterexample):
+            log = []
+            try:
+                result = fn(recording_model(table, unary, log), identity)
+            except IndexError:
+                result = "IndexError"
+            logs.append((log, result))
+        assert logs[0] == logs[1], identity
