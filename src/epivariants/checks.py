@@ -15,7 +15,6 @@ from .core import (
     CayleyTable,
     _element_signatures,
     _isomorphism_search,
-    adjoin_identity,
     canonical_form,
     identity_of,
 )
@@ -33,7 +32,17 @@ from .variants import (
     unary_variant,
     variant,
 )
-from .varieties import in_E, in_V, in_W, in_W_structural
+from .varieties import (
+    EQ_COMMUTE,
+    EQ_PINV_FIXED,
+    EQ_PRODUCT_STABLE,
+    e_identity_alt,
+    in_E,
+    in_V,
+    in_W,
+    in_W_structural,
+    satisfies,
+)
 
 
 @dataclass(frozen=True)
@@ -188,18 +197,18 @@ def check_variant_variety_closure():
 
 
 def _conjugacy_oracle(t):
-    # independent double loop over (S^1)^2
+    # a ~ b iff some factorisation a = xy over S gives yx = b; the S^1 cases
+    # a = 1a and a = a1 add exactly the pairs (a, a)
     n = t.order
-    s1 = adjoin_identity(t).table
-    m = len(s1)
-    rel = [[False] * n for _ in range(n)]
-    for x in range(m):
-        for y in range(m):
-            a, b = s1[x][y], s1[y][x]
-            if a < n and b < n:
-                rel[a][b] = True
-                rel[b][a] = True
-    return rel
+    tab = t.table
+    factorisations = [[] for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            factorisations[tab[x][y]].append((x, y))
+    return [
+        [a == b or any(tab[y][x] == b for x, y in factorisations[a]) for b in range(n)]
+        for a in range(n)
+    ]
 
 
 def check_w_variant_conjugacy():
@@ -265,10 +274,61 @@ def _brute_force_canonical_forms(order):
     return forms
 
 
+def _ideal_table(t, elements):
+    # the subsemigroup on a one-sided ideal, its elements renumbered in order
+    elements = sorted(elements)
+    pos = {e: i for i, e in enumerate(elements)}
+    return CayleyTable([[pos[t.table[a][b]] for b in elements] for a in elements])
+
+
+def _variety_disagreements(s):
+    """The failures, on s, of the equivalences and inclusions that
+    ``check_oracles`` lists, each criterion computed once."""
+    problems = []
+    e = {n: in_E(s, n).holds for n in (1, 2, 3)}
+    for n in (1, 2, 3):
+        alt = all(satisfies(s, i) for i in (EQ_PINV_FIXED, EQ_COMMUTE, e_identity_alt(n)))
+        if alt != e[n]:
+            problems.append(
+                f"E_{n} axiomatizations disagree on a unary semigroup of order {s.order}"
+            )
+    for n in (1, 2):
+        v = in_V(s, n).holds
+        if e[n] and not v:
+            problems.append(f"E_{n} member escaped V_{n}")
+        if v and not e[n + 1]:
+            problems.append(f"V_{n} member escaped E_{n + 1}")
+    if s.canonical:
+        t = s.base
+        tab = t.table
+        w = {
+            "E2-based": e[2] and satisfies(s, EQ_PRODUCT_STABLE),
+            "equational": in_W(s).holds,
+            "products": in_W_structural(t),
+            "left ideals": all(
+                is_completely_regular(_ideal_table(t, {row[c] for row in tab}))
+                for c in range(t.order)
+            ),
+            "right ideals": all(
+                is_completely_regular(_ideal_table(t, set(tab[c]))) for c in range(t.order)
+            ),
+        }
+        if len(set(w.values())) > 1:
+            problems.append(
+                "W characterizations disagree: "
+                + ", ".join(f"{name}={holds}" for name, holds in w.items())
+            )
+    return problems
+
+
 def check_oracles():
     """Search completeness at order <= 3 against brute force; isomorphism
     search agrees with canonical forms on all order-<=4 pairs; conjugacy
-    classes on the corpus match an independent oracle."""
+    classes on the corpus match an independent oracle.  On every order-<=4
+    table with its pseudoinverse map and on each unary variant: ``in_E``
+    agrees with x^{n-1} x'' = x^n (n <= 3) and E_n <= V_n <= E_{n+1} holds
+    (n <= 2); on the pseudoinverse map, E_2 plus (xy)'' = xy, ``in_W``,
+    ``in_W_structural``, and "every Sc, every cS completely regular" agree."""
     problems = []
     for order in (1, 2, 3):
         brute = _brute_force_canonical_forms(order)
@@ -315,7 +375,12 @@ def check_oracles():
         expected = sorted(tuple(sorted(v)) for v in expected.values())
         if sorted(conjugacy_classes(t)) != expected:
             problems.append(f"conjugacy classes mismatch on {name}")
-    return CheckOutcome("oracle-equivalences", not problems, "; ".join(problems) or "all agree")
+    for t in _tables_up_to(4):
+        s = pseudoinverse_map(t)
+        for model in [s] + [unary_variant(s, c) for c in range(t.order)]:
+            problems.extend(_variety_disagreements(model))
+    detail = "; ".join(dict.fromkeys(problems)) or "all agree"
+    return CheckOutcome("oracle-equivalences", not problems, detail)
 
 
 def _is_group(t):

@@ -49,12 +49,7 @@ def primary_conjugacy(t):
             if a < n and b < n:
                 bits[a][b] = True
                 bits[b][a] = True
-    rel = BinaryRelation(n, bits)
-    for a in range(n):
-        if not rel.bits[a][a]:
-            raise SemigroupError(f"primary conjugacy not reflexive at {a}")
-    _require_symmetric(rel)
-    return rel
+    return BinaryRelation(n, bits)
 
 
 def _require_symmetric(r):

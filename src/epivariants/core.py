@@ -168,16 +168,6 @@ def adjoin_identity(t, force=False):
     return CayleyTable(rows)
 
 
-def zero_of(t):
-    """The two-sided zero element, or None."""
-    n = t.order
-    tab = t.table
-    for z in range(n):
-        if all(tab[z][x] == z == tab[x][z] for x in range(n)):
-            return z
-    return None
-
-
 @dataclass(frozen=True)
 class Transformation:
     """A self-map of {0, ..., degree-1}."""

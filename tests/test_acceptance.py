@@ -8,6 +8,7 @@ lines as they happen).
 import pytest
 
 from epivariants import checks
+from epivariants.varieties import VarietyReport, parse_identity
 
 CHECKS = {fn.__name__: fn for fn in checks.ALL_CHECKS}
 
@@ -37,3 +38,29 @@ def test_oracle_check_searches_every_pair(monkeypatch):
     monkeypatch.setattr(checks, "_isomorphism_search", counted)
     assert checks.check_oracles().ok
     assert [calls.count(n) for n in (1, 2, 3, 4)] == [1, 15, 300, 17766]
+
+
+@pytest.mark.parametrize(
+    "name, patched, messages",
+    [
+        ("e_identity_alt", lambda n: parse_identity("x = y"), ["E_1 axiomatizations disagree"]),
+        ("in_V", lambda s, n: VarietyReport(f"V_{n}", False), ["E_1 member escaped V_1"]),
+        (
+            "in_V",
+            lambda s, n: VarietyReport(f"V_{n}", True),
+            ["V_1 member escaped E_2", "V_2 member escaped E_3"],
+        ),
+        (
+            "in_W_structural",
+            lambda t: False,
+            ["W characterizations disagree: E2-based=True, equational=True, products=False"],
+        ),
+    ],
+)
+def test_oracle_check_reports_each_variety_disagreement(monkeypatch, name, patched, messages):
+    # one criterion broken at a time; the oracle check names the equivalence
+    monkeypatch.setattr(checks, name, patched)
+    outcome = checks.check_oracles()
+    assert not outcome.ok
+    for message in messages:
+        assert message in outcome.detail

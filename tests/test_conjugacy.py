@@ -2,6 +2,7 @@ from itertools import permutations
 
 import pytest
 
+from epivariants import checks
 from epivariants.conjugacy import (
     BinaryRelation,
     check_transitivity,
@@ -10,8 +11,9 @@ from epivariants.conjugacy import (
     transitive_closure,
 )
 from epivariants.core import CayleyTable, adjoin_identity, relabel
-from epivariants.corpus import load_corpus
+from epivariants.corpus import corpus_names, load_corpus
 from epivariants.search import semigroup_tables
+from epivariants.variants import variant
 
 NULL2 = CayleyTable([[0, 0], [0, 0]])
 NONTRANS4 = CayleyTable([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 2, 3]])
@@ -41,6 +43,17 @@ def test_relation_matches_oracle():
         for a in range(t.order):
             for b in range(t.order):
                 assert rel.holds(a, b) == ((a, b) in pairs)
+
+
+def test_checks_oracle_matches_relation():
+    # the factorisation-set oracle of check_oracles, on every corpus table and
+    # every table of order <= 4 with each of its variants
+    tables = [getattr(m, "base", m) for m in map(load_corpus, corpus_names())]
+    for order in (1, 2, 3, 4):
+        for t in semigroup_tables(order):
+            tables += [t] + [variant(t, c) for c in range(order)]
+    for t in tables:
+        assert checks._conjugacy_oracle(t) == [list(row) for row in primary_conjugacy(t).bits]
 
 
 def test_group_conjugacy_s3():

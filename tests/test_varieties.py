@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from epivariants import varieties
+from epivariants import checks, varieties
 from epivariants.core import CayleyTable, UnarySemigroup
 from epivariants.corpus import load_corpus
 from epivariants.epigroup import pseudoinverse_map
@@ -211,6 +211,12 @@ def test_kernel_matches_brute_force():
             assert (got is None) == (expected is None), (s, identity)
             if got is not None:
                 assert list(got.items()) == list(expected.items()), (s, identity)
+
+
+def test_variety_criteria_agree_on_kernel_models():
+    # every equivalence check_oracles runs, also on free unary maps
+    for s in kernel_models():
+        assert checks._variety_disagreements(s) == [], s
 
 
 def test_kernel_takes_no_text_from_the_identity():
