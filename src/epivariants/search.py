@@ -1,9 +1,26 @@
 """Exhaustive enumeration of small semigroups up to isomorphism.
 
-The enumerator fills the multiplication table cell by cell in row-major
-order, rejecting a partial table as soon as a fully determined triple breaks
-associativity, and keeps only tables equal to their own canonical relabeling
-so that each isomorphism class is emitted exactly once.
+The enumerator fixes the first row, then fills the rest of the
+multiplication table cell by cell in row-major order.  Three tests cut the
+tree:
+
+- Cell test.  A partial table is rejected as soon as a fully determined
+  triple breaks associativity.  The triples that use a newly set cell (a, b)
+  are (a, b, z), (z, a, b), (x, y, b) with xy = a and (a, x, y) with xy = b;
+  the last two come from a per-value index ``where[v]`` of the filled cells
+  holding v, which ``_fill`` appends to on set and pops on unset, so no step
+  scans all n^2 cells.
+- Prefix test (lex-leader pruning).  When rows 0..r are filled, every
+  relabeling that maps {0..r} onto itself, other than the identity, is tried
+  on them: its rows 0..r read only filled cells.  If one makes them
+  lexicographically smaller than the table's own rows 0..r, every completion
+  has a smaller relabeling and is not canonical, so the subtree is cut.  The
+  r = 0 case screens first rows before any cell test; the relabeling lists
+  are built once per order.
+- Leaf test.  A complete table is kept only when it equals its own
+  canonical relabeling (``core._smaller_relabelings``), so each isomorphism
+  class is emitted exactly once.  This test alone decides canonicity; the
+  other two only cut subtrees that hold no canonical table.
 """
 
 from __future__ import annotations
@@ -11,6 +28,8 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import permutations
 from itertools import product as iproduct
 
 from .core import (
@@ -27,7 +46,7 @@ from .core import (
 from .epigroup import is_completely_regular, pseudoinverse_map
 from .varieties import find_counterexample, in_E, in_V, in_W, in_W_structural
 
-MAX_PLAIN_ORDER = 5
+MAX_PLAIN_ORDER = 6
 MAX_CROSS_SEARCH_ORDER = 4
 
 
@@ -35,35 +54,77 @@ class ReproductionFailed(SemigroupError):
     pass
 
 
-def _assoc_ok(t, x, y, z):
-    xy = t[x][y]
-    if xy < 0:
-        return True
-    yz = t[y][z]
-    if yz < 0:
-        return True
-    left = t[xy][z]
-    if left < 0:
-        return True
-    right = t[x][yz]
-    return right < 0 or left == right
-
-
-def _cell_consistent(t, a, b, n):
-    # triples that may have become fully determined when cell (a,b) was set:
-    # (a,b,z), (z,a,b), (x,y,b) with xy=a, and (a,x,y) with xy=b
-    for z in range(n):
-        if not _assoc_ok(t, a, b, z) or not _assoc_ok(t, z, a, b):
-            return False
-    for x in range(n):
-        row = t[x]
-        for y in range(n):
-            v = row[y]
-            if v == a and not _assoc_ok(t, x, y, b):
+def _cell_consistent(t, a, b, where):
+    # the triples that use cell (a, b), now holding v, are (a, b, z),
+    # (z, a, b), (x, y, b) with xy = a, and (a, x, y) with xy = b; reject
+    # the cell when one of them is fully determined and not associative
+    ra = t[a]
+    v = ra[b]
+    rv = t[v]
+    for bz, left in zip(t[b], rv):  # (ab)z = vz against a(bz)
+        if bz >= 0 and left >= 0:
+            right = ra[bz]
+            if right >= 0 and right != left:
                 return False
-            if v == b and not _assoc_ok(t, a, x, y):
+    for row in t:  # (za)b against z(ab) = zv
+        za = row[a]
+        if za >= 0:
+            left = t[za][b]
+            if left >= 0:
+                right = row[v]
+                if right >= 0 and right != left:
+                    return False
+    for x, y in where[a]:  # (xy)b = ab = v against x(yb)
+        yb = t[y][b]
+        if yb >= 0:
+            right = t[x][yb]
+            if right >= 0 and right != v:
+                return False
+    for x, y in where[b]:  # (ax)y against a(xy) = ab = v
+        ax = ra[x]
+        if ax >= 0:
+            left = t[ax][y]
+            if left >= 0 and left != v:
                 return False
     return True
+
+
+@lru_cache(maxsize=MAX_PLAIN_ORDER)
+def _prefix_relabelings(n):
+    """For each r in 0..n-2, the relabelings other than the identity that
+    map {0..r} onto itself, as (perm, src) pairs.
+
+    Row i of a relabeled table reads ``perm[t[inv[i]][inv[j]]]``; with inv
+    fixing {0..r} setwise, rows 0..r read only rows 0..r of t.  ``src[k]``
+    is the index, in the row-major prefix of t's rows 0..r, of the cell that
+    position k of the relabeled prefix reads.
+    """
+    identity = tuple(range(n))
+    result = []
+    for r in range(n - 1):
+        rels = []
+        for head in permutations(range(r + 1)):
+            for tail in permutations(range(r + 1, n)):
+                inv = head + tail
+                if inv == identity:
+                    continue
+                perm = [0] * n
+                for new, old in enumerate(inv):
+                    perm[old] = new
+                src = tuple(inv[i] * n + inv[j] for i in range(r + 1) for j in range(n))
+                rels.append((tuple(perm), src))
+        result.append(tuple(rels))
+    return tuple(result)
+
+
+def _prefix_beaten(prefix, rels):
+    """True when some relabeling in ``rels`` makes the row-major prefix (a
+    list) lexicographically smaller; then every completion of it has a
+    smaller relabeling, and none is canonical."""
+    for perm, src in rels:
+        if [perm[prefix[k]] for k in src] < prefix:
+            return True
+    return False
 
 
 def _is_canonical(t):
@@ -71,27 +132,39 @@ def _is_canonical(t):
     return next(_smaller_relabelings(t, None), None) is None
 
 
-def _fill(t, pos, n, out):
+def _fill(t, pos, n, where, rels, out):
     if pos == n * n:
         if _is_canonical(t):
             out.append(tuple(tuple(row) for row in t))
         return
     a, b = divmod(pos, n)
+    if b == 0 and a > 1 and _prefix_beaten([v for row in t[:a] for v in row], rels[a - 1]):
+        return  # rows 0..a-1 are complete and a relabeling fixing them beats them
+    row = t[a]
     for v in range(n):
-        t[a][b] = v
-        if _cell_consistent(t, a, b, n):
-            _fill(t, pos + 1, n, out)
-    t[a][b] = -1
+        row[b] = v
+        cells = where[v]
+        cells.append((a, b))
+        if _cell_consistent(t, a, b, where):
+            _fill(t, pos + 1, n, where, rels, out)
+        cells.pop()
+    row[b] = -1
 
 
 def _enumerate_with_first_row(args):
     n, first_row = args
+    rels = _prefix_relabelings(n)
     t = [list(first_row)] + [[-1] * n for _ in range(n - 1)]
+    if n > 1 and _prefix_beaten(t[0], rels[0]):
+        return []
+    where = [[] for _ in range(n)]
+    for b, v in enumerate(first_row):
+        where[v].append((0, b))
     for b in range(n):
-        if not _cell_consistent(t, 0, b, n):
+        if not _cell_consistent(t, 0, b, where):
             return []
     out = []
-    _fill(t, n, n, out)
+    _fill(t, n, n, where, rels, out)
     return out
 
 

@@ -166,7 +166,7 @@ def test_enumerate_identities_file(tmp_path, capsys):
 
 
 def test_enumerate_over_cap(capsys):
-    assert main(["enumerate", "--order", "6", "--count-only", "--plain"]) == 2
+    assert main(["enumerate", "--order", "7", "--count-only", "--plain"]) == 2
 
 
 def test_verify_paper_json(capsys):

@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import product as iproduct
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from epivariants.core import CapExceeded, CayleyTable, UnarySemigroup, canonical_form, validate
 from epivariants.search import (
     SearchSpec,
+    _prefix_beaten,
+    _prefix_relabelings,
     count_semigroups,
     enumerate_models,
     reproduce_v1_census,
@@ -13,9 +16,9 @@ from epivariants.search import (
 )
 from epivariants.varieties import parse_identity
 
-# counts of semigroups up to isomorphism: 1, 5, 24, 188, 1915
+# counts of semigroups up to isomorphism: 1, 5, 24, 188, 1915, 28634
 KNOWN_COUNTS = {1: 1, 2: 5, 3: 24, 4: 188}
-# merged with anti-isomorphism: 1, 4, 18, 126, 1160
+# merged with anti-isomorphism: 1, 4, 18, 126, 1160, 15973
 KNOWN_ANTI_COUNTS = {1: 1, 2: 4, 3: 18, 4: 126}
 
 
@@ -36,6 +39,42 @@ def brute_force_classes(order):
     return forms
 
 
+@lru_cache(maxsize=None)
+def labelled_semigroups(order):
+    # oracle: fill the cells in row-major order, backtracking as soon as a
+    # fully determined triple breaks associativity; no symmetry pruning, so
+    # every labelled semigroup is found
+    t = [[-1] * order for _ in range(order)]
+    found = []
+
+    def consistent():
+        for x in range(order):
+            for y in range(order):
+                xy = t[x][y]
+                for z in range(order):
+                    yz = t[y][z]
+                    if xy < 0 or yz < 0:
+                        continue
+                    left, right = t[xy][z], t[x][yz]
+                    if left >= 0 and right >= 0 and left != right:
+                        return False
+        return True
+
+    def fill(pos):
+        if pos == order * order:
+            found.append(CayleyTable(t))
+            return
+        a, b = divmod(pos, order)
+        for v in range(order):
+            t[a][b] = v
+            if consistent():
+                fill(pos + 1)
+        t[a][b] = -1
+
+    fill(0)
+    return tuple(found)
+
+
 def test_counts_match_known_values():
     for order, expected in KNOWN_COUNTS.items():
         assert count_semigroups(order) == expected
@@ -50,6 +89,34 @@ def test_complete_against_brute_force():
     for order in (1, 2, 3):
         tables = semigroup_tables(order)
         assert {canonical_form(t) for t in tables} == brute_force_classes(order)
+
+
+def test_complete_against_labelled_backtracker():
+    # labelled semigroups of orders 2, 3, 4: 8, 113, 3492 (OEIS A023814)
+    for order, expected in ((2, 8), (3, 113), (4, 3492)):
+        assert len(labelled_semigroups(order)) == expected
+    forms = {canonical_form(t) for t in labelled_semigroups(4)}
+    assert forms == {canonical_form(t) for t in semigroup_tables(4)}
+    assert len(forms) == 188
+
+
+def test_prefix_test_rejects_only_non_canonical_tables():
+    # every labelled semigroup of order <= 4, so every relabeling of every
+    # class: whenever the prefix test rejects rows 0..r, the table is not its
+    # own canonical form
+    rejected = 0
+    for order in (2, 3, 4):
+        rels = _prefix_relabelings(order)
+        assert len(rels) == order - 1
+        for t in labelled_semigroups(order):
+            flat = bytes([order]) + bytes(v for row in t.table for v in row)
+            canonical = flat == canonical_form(t)
+            for r in range(order - 1):
+                prefix = [v for row in t.table[:r + 1] for v in row]
+                if _prefix_beaten(prefix, rels[r]):
+                    rejected += 1
+                    assert not canonical, (t.table, r)
+    assert rejected > 0
 
 
 def test_tables_are_valid_canonical_and_sorted():
@@ -67,18 +134,19 @@ def test_tables_are_valid_canonical_and_sorted():
 def test_parallel_matches_sequential():
     from epivariants import search
 
-    sequential = semigroup_tables(3)
-    search._TABLE_CACHE.pop(3, None)
-    try:
-        parallel = semigroup_tables(3, jobs=2)
-    finally:
-        search._TABLE_CACHE[3] = sequential
-    assert parallel == sequential
+    for order in (3, 4):
+        sequential = semigroup_tables(order)
+        search._TABLE_CACHE.pop(order, None)
+        try:
+            parallel = semigroup_tables(order, jobs=2)
+        finally:
+            search._TABLE_CACHE[order] = sequential
+        assert parallel == sequential
 
 
 def test_order_cap():
     with pytest.raises(CapExceeded):
-        semigroup_tables(6)
+        semigroup_tables(7)
     with pytest.raises(ValueError):
         semigroup_tables(0)
 
@@ -156,7 +224,13 @@ def test_census_reproduces():
         assert len(set(model.unary)) == 3
 
 
-@pytest.mark.slow
 def test_order_5_counts():
     assert count_semigroups(5) == 1915
     assert count_semigroups(5, merge_anti=True) == 1160
+
+
+@pytest.mark.slow
+def test_order_6_counts():
+    # OEIS A027851 and A001423
+    assert count_semigroups(6) == 28634
+    assert count_semigroups(6, merge_anti=True) == 15973
