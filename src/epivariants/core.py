@@ -51,7 +51,7 @@ class CayleyTable:
 
     @classmethod
     def from_rows(cls, rows):
-        t = cls(tuple(tuple(r) for r in rows))
+        t = cls(rows)
         validate(t)
         return t
 
@@ -86,29 +86,43 @@ def validate(t):
     A row is range-checked cell by cell only when the set test on its types
     and values fails, so that the error names the first bad entry.
 
-    Associativity is compared one left factor a at a time on strings that
-    hold element x as ``chr(x)``: ``rows[x]`` is row x and ``cells`` is the
-    whole table in row-major order.  ``cells.translate(rows[a])`` is a(bc)
-    and the rows of the elements ab, joined in b order, are (ab)c, both at
-    index b*n + c.  The first index where they differ gives the
-    lexicographically first failing triple (a, b, c).
+    Associativity is compared on strings that hold element x as ``chr(x)``:
+    ``rows[x]`` is row x and ``cells`` is the whole table in row-major
+    order.  For a left factor a, ``cells.translate(rows[a])`` is a(bc) and
+    the rows of the elements ab, joined in b order, are (ab)c, both at index
+    b*n + c.  The first index where they differ gives the lexicographically
+    first failing triple (a, b, c).
+
+    Both comparisons read row a only through its contents, so each distinct
+    row object is checked, encoded and compared once, at its first index;
+    the first failure is still found at the smallest a.  A variant's table
+    reuses its base's rows, so it has at most |Sc| distinct rows.  Rows are
+    keyed by object identity, not by value: the table keeps every row alive
+    and a tuple never changes, whereas ``(0, 1.0)`` equals and hashes like
+    ``(0, 1)`` and would skip its own entry check.
     """
     n = t.order
     tab = t.table
     values = set(range(n))
+    strings = {}  # id of each distinct row object -> the row as a chr string
+    firsts = []   # index of each distinct row object's first occurrence
     rows = []
     for a, row in enumerate(tab):
-        if len(row) != n:
-            raise SemigroupError(f"row {a} has length {len(row)}, expected {n}")
-        if not (set(map(type, row)) <= {int} and values.issuperset(row)):
-            for b, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < n:
-                    raise EntryOutOfRange((a, b), v)
-        rows.append("".join(map(chr, row)))
+        string = strings.get(id(row))
+        if string is None:
+            if len(row) != n:
+                raise SemigroupError(f"row {a} has length {len(row)}, expected {n}")
+            if not (set(map(type, row)) <= {int} and values.issuperset(row)):
+                for b, v in enumerate(row):
+                    if not isinstance(v, int) or not 0 <= v < n:
+                        raise EntryOutOfRange((a, b), v)
+            string = strings[id(row)] = "".join(map(chr, row))
+            firsts.append(a)
+        rows.append(string)
     cells = "".join(rows)
     row_of = rows.__getitem__
-    for a, row in enumerate(tab):
-        left = "".join(map(row_of, row))
+    for a in firsts:
+        left = "".join(map(row_of, tab[a]))
         right = cells.translate(rows[a])
         if left != right:
             i = next(k for k, (x, y) in enumerate(zip(left, right)) if x != y)

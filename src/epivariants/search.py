@@ -41,6 +41,7 @@ from .core import (
     anti_canonical_form,
     canonical_form,
     find_isomorphism,
+    transpose,
     validate,
 )
 from .epigroup import is_completely_regular, pseudoinverse_map
@@ -183,7 +184,10 @@ def semigroup_tables(order, jobs=1):
     prefixes = [(order, row) for row in iproduct(range(order), repeat=order)]
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
-            chunks = pool.map(_enumerate_with_first_row, prefixes)
+            # one first row per task: a few first rows (the all-zero one above
+            # all) hold most of the work, and a default chunk would put them
+            # on one worker together with thousands of others
+            chunks = pool.map(_enumerate_with_first_row, prefixes, chunksize=1)
     else:
         chunks = [_enumerate_with_first_row(p) for p in prefixes]
     tables = sorted(t for chunk in chunks for t in chunk)
@@ -200,7 +204,13 @@ def count_semigroups(order, merge_anti=False, jobs=1):
     tables = semigroup_tables(order, jobs=jobs)
     if not merge_anti:
         return len(tables)
-    return len({anti_canonical_form(t) for t in tables})
+    # each representative is its own canonical form, so only its transpose
+    # is searched
+    forms = set()
+    for t in tables:
+        own = bytes([order]) + bytes(v for row in t.table for v in row)
+        forms.add(min(own, canonical_form(transpose(t))))
+    return len(forms)
 
 
 @dataclass(frozen=True)

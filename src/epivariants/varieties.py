@@ -267,12 +267,14 @@ EQ_PINV_FIXED = parse_identity("x'*x*x' = x'")
 EQ_COMMUTE = parse_identity("x*x' = x'*x")
 
 
+@lru_cache(maxsize=16)
 def e_identity(n):
     """x^{n+1} x' = x^n."""
     x = tvar("x")
     return Identity(tdot(tpow(x, n + 1), tprime(x)), tpow(x, n))
 
 
+@lru_cache(maxsize=16)
 def e_identity_alt(n):
     """x^{n-1} x'' = x^n (the empty power is dropped for n = 1)."""
     x = tvar("x")
@@ -280,6 +282,7 @@ def e_identity_alt(n):
     return Identity(lhs, tpow(x, n))
 
 
+@lru_cache(maxsize=16)
 def v_identity_1(n):
     """x y^{n-1} y'' = x y^n."""
     x, y = tvar("x"), tvar("y")
@@ -287,6 +290,7 @@ def v_identity_1(n):
     return Identity(lhs, tdot(x, tpow(y, n)))
 
 
+@lru_cache(maxsize=16)
 def v_identity_2(n):
     """x'' x^{n-1} y = x^n y."""
     x, y = tvar("x"), tvar("y")

@@ -127,6 +127,46 @@ def test_validate_matches_triple_loop_oracle():
     assert set(outcomes) == {"ok", SemigroupError, EntryOutOfRange, NotAssociative}
 
 
+def _shared_row_tables(rng, count):
+    # rows taken by reference from a small pool of row tuples, so one row
+    # object recurs in a table; a pool row may be short or hold n, 1.0 or
+    # True, and an int row may sit beside its equal twin with a 1.0
+    for _ in range(count):
+        n = rng.randrange(1, 7)
+        pool = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(rng.randrange(1, 4))]
+        if rng.random() < 0.4:
+            bad = list(rng.choice(pool))
+            k = rng.randrange(n)
+            bad[k] = rng.choice((n, float(bad[k]), True, None))
+            pool.append(tuple(bad[:k] + bad[k + 1:]) if bad[k] is None else tuple(bad))
+        yield CayleyTable([rng.choice(pool) for _ in range(n)])
+
+
+def _variant_tables(rng, count):
+    # the variant rows of random magmas, as ``variant`` builds them: row a at
+    # c is the magma's row ac, the same object
+    for _ in range(count):
+        n = rng.randrange(1, 7)
+        tab = CayleyTable([[rng.randrange(n) for _ in range(n)] for _ in range(n)]).table
+        c = rng.randrange(n)
+        yield CayleyTable([tab[row[c]] for row in tab])
+
+
+def test_validate_matches_oracle_on_shared_rows():
+    rng = random.Random(20150601)
+    tables = list(_shared_row_tables(rng, 3000)) + list(_variant_tables(rng, 1000))
+    outcomes = Counter()
+    shared = 0
+    for t in tables:
+        expected = _outcome(validate_oracle, t)
+        assert _outcome(validate, t) == expected, t.table
+        outcomes[expected if expected == "ok" else expected[0]] += 1
+        shared += len({id(row) for row in t.table}) < t.order
+    assert shared >= len(tables) // 2
+    assert min(outcomes.values()) >= 50, outcomes
+    assert set(outcomes) == {"ok", SemigroupError, EntryOutOfRange, NotAssociative}
+
+
 def test_validate_large_order_matches_oracle():
     # order 150 puts elements above code point 127
     n = 150

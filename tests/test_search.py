@@ -134,7 +134,7 @@ def test_tables_are_valid_canonical_and_sorted():
 def test_parallel_matches_sequential():
     from epivariants import search
 
-    for order in (3, 4):
+    for order in (3, 4, 5):
         sequential = semigroup_tables(order)
         search._TABLE_CACHE.pop(order, None)
         try:

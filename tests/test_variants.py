@@ -1,6 +1,15 @@
+import random
+
 import pytest
 
-from epivariants.core import CapExceeded, CayleyTable, find_isomorphism, identity_of, validate
+from epivariants.core import (
+    CapExceeded,
+    CayleyTable,
+    NotAssociative,
+    find_isomorphism,
+    identity_of,
+    validate,
+)
 from epivariants.corpus import load_corpus
 from epivariants.epigroup import is_completely_regular, pseudoinverse_map
 from epivariants.search import semigroup_tables
@@ -43,6 +52,32 @@ def test_variant_always_associative():
         for t in semigroup_tables(order):
             for c in range(order):
                 validate(variant(t, c))
+
+
+def test_variant_of_magma_is_still_validated():
+    # oracle: the lexicographically first failing triple of acb, by a
+    # triple loop over the base magma
+    rng = random.Random(2015)
+    raised = 0
+    for _ in range(300):
+        n = rng.randrange(2, 6)
+        t = CayleyTable([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+        tab = t.table
+        c = rng.randrange(n)
+        vab = [[tab[tab[a][c]][b] for b in range(n)] for a in range(n)]
+        witness = next(
+            ((a, b, d) for a in range(n) for b in range(n) for d in range(n)
+             if vab[vab[a][b]][d] != vab[a][vab[b][d]]),
+            None,
+        )
+        if witness is None:
+            assert variant(t, c).table == tuple(map(tuple, vab))
+            continue
+        with pytest.raises(NotAssociative) as exc:
+            variant(t, c)
+        assert exc.value.witness == witness
+        raised += 1
+    assert raised >= 100
 
 
 def test_variant_rejects_bad_sandwich():
