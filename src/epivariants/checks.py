@@ -20,10 +20,13 @@ from .core import (
 )
 from .corpus import corpus_names, load_corpus
 from .epigroup import (
+    EpigroupData,
+    epigroup_data,
     is_completely_regular,
     pseudoinverse_map,
     verify_epigroup_identities,
 )
+from .green import green, is_group_h_class
 from .search import reproduce_v1_census, semigroup_tables
 from .variants import (
     check_pseudoinverse_transport,
@@ -281,6 +284,30 @@ def _ideal_table(t, elements):
     return CayleyTable([[pos[t.table[a][b]] for b in elements] for a in elements])
 
 
+def _epigroup_oracle(t):
+    """``epigroup_data`` from Green's relations: the index of a is the least
+    k with a^k in a group H-class, its unit is that class's one idempotent
+    e, and a' is the one inverse of ae in the class."""
+    g = green(t)
+    tab = t.table
+    index = []
+    pinv = []
+    unit = []
+    for a in range(t.order):
+        p, k = a, 1
+        while not is_group_h_class(g, t, p):
+            p = tab[p][a]
+            k += 1
+        members = g.h_members(p)
+        (e,) = [x for x in members if tab[x][x] == x]
+        ae = tab[a][e]
+        (inverse,) = [h for h in members if tab[ae][h] == e == tab[h][ae]]
+        index.append(k)
+        pinv.append(inverse)
+        unit.append(e)
+    return EpigroupData(index=tuple(index), pseudoinverse=tuple(pinv), unit_of=tuple(unit))
+
+
 def _variety_disagreements(s):
     """The failures, on s, of the equivalences and inclusions that
     ``check_oracles`` lists, each criterion computed once."""
@@ -328,7 +355,10 @@ def check_oracles():
     table with its pseudoinverse map and on each unary variant: ``in_E``
     agrees with x^{n-1} x'' = x^n (n <= 3) and E_n <= V_n <= E_{n+1} holds
     (n <= 2); on the pseudoinverse map, E_2 plus (xy)'' = xy, ``in_W``,
-    ``in_W_structural``, and "every Sc, every cS completely regular" agree."""
+    ``in_W_structural``, and "every Sc, every cS completely regular" agree.
+    On every distinct table among those and their variants, the index,
+    pseudoinverse and unit that ``epigroup_data`` reads off powers equal
+    the ones read off Green's relations (``_epigroup_oracle``)."""
     problems = []
     for order in (1, 2, 3):
         brute = _brute_force_canonical_forms(order)
@@ -375,10 +405,18 @@ def check_oracles():
         expected = sorted(tuple(sorted(v)) for v in expected.values())
         if sorted(conjugacy_classes(t)) != expected:
             problems.append(f"conjugacy classes mismatch on {name}")
+    seen = set()
     for t in _tables_up_to(4):
         s = pseudoinverse_map(t)
         for model in [s] + [unary_variant(s, c) for c in range(t.order)]:
             problems.extend(_variety_disagreements(model))
+            base = model.base
+            if base not in seen:
+                seen.add(base)
+                if epigroup_data(base) != _epigroup_oracle(base):
+                    problems.append(
+                        f"epigroup_data and Green's relations disagree at order {base.order}"
+                    )
     detail = "; ".join(dict.fromkeys(problems)) or "all agree"
     return CheckOutcome("oracle-equivalences", not problems, detail)
 

@@ -14,6 +14,10 @@ from dataclasses import dataclass
 from itertools import permutations
 
 
+# maxsize of the lru_caches that green and epigroup_data key by whole tables
+TABLE_CACHE_SIZE = 4096
+
+
 class SemigroupError(Exception):
     pass
 
@@ -171,10 +175,10 @@ def identity_of(t):
     return None
 
 
-def adjoin_identity(t, force=False):
+def adjoin_identity(t):
     """S^1: return t unchanged if it is already a monoid, otherwise adjoin a
-    new identity element with index n.  ``force`` adjoins unconditionally."""
-    if not force and identity_of(t) is not None:
+    new identity element with index n."""
+    if identity_of(t) is not None:
         return t
     n = t.order
     rows = [list(row) + [a] for a, row in enumerate(t.table)]
@@ -250,6 +254,18 @@ def _unpack(s):
     return s.table, None
 
 
+def _powers(table, a):
+    """(powers, m): powers holds a, a^2, ..., a^(m+r-1), where a^(k+1) =
+    a^k a and m, r are least with a^m = a^(m+r).  m is the index of a and
+    r = len(powers) + 1 - m its period."""
+    powers = [a]
+    x = table[a][a]
+    while x not in powers:
+        powers.append(x)
+        x = table[x][a]
+    return powers, powers.index(x) + 1
+
+
 def _element_signatures(table, unary):
     """Relabeling-invariant per-element fingerprints, used to prune the
     isomorphism search."""
@@ -257,14 +273,7 @@ def _element_signatures(table, unary):
     total = Counter(v for row in table for v in row)
     sigs = []
     for a, row, col in zip(range(n), table, zip(*table)):
-        # index m and period r: the least m, r with a^m = a^(m+r), where
-        # a^(k+1) = a^k a; powers holds a, a^2, ... up to the first repeat
-        powers = [a]
-        x = row[a]
-        while x not in powers:
-            powers.append(x)
-            x = table[x][a]
-        index = powers.index(x) + 1
+        powers, index = _powers(table, a)
         sig = (
             row[a] == a,                              # idempotent
             total[a],                                 # occurrences in the table

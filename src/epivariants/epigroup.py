@@ -1,9 +1,13 @@
 """Element index and pseudoinverse computation for finite semigroups.
 
-Every finite semigroup is group-bound: some power a^n of each element a lands
-in a group H-class.  The least such n is the index of a, and the
-pseudoinverse a' is the group inverse of a*e inside that H-class, where e is
-the class's idempotent.
+Every finite semigroup is an epigroup: some power of each element lies in a
+subgroup.  The powers of a run a, a^2, ..., a^(m+r-1) and then repeat, where
+m and r are least with a^m = a^(m+r), and the cycle a^m, ..., a^(m+r-1) is a
+cyclic group.  So the index of a (the least n with a^n in a subgroup) is m,
+the cycle's identity e is the a^j in it with j = 0 (mod r), and the
+pseudoinverse a', the group inverse of ae, is the a^j in it with
+j = -1 (mod r).  ``checks.check_oracles`` compares these with the same
+quantities read off Green's relations.
 """
 
 from __future__ import annotations
@@ -11,52 +15,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import UnarySemigroup
-from .green import green, is_group_h_class
+from .core import TABLE_CACHE_SIZE, UnarySemigroup, _powers
 from .varieties import find_counterexample, parse_identity
-
-
-class EpigroupError(Exception):
-    """Internal consistency failure in index/pseudoinverse computation."""
 
 
 @dataclass(frozen=True)
 class EpigroupData:
-    index: tuple          # element -> index (least n with a^n in a group H-class)
-    pseudoinverse: tuple  # element -> a'
-    unit_of: tuple        # element -> the idempotent of the group H-class of a^n
+    index: tuple          # element a -> m, least with a^m = a^(m+r) for some r
+    pseudoinverse: tuple  # element a -> a' = a^j with j >= m, j = -1 (mod r)
+    unit_of: tuple        # element a -> the idempotent a^j with j >= m, j = 0 (mod r)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def epigroup_data(t):
-    n = t.order
-    tab = t.table
-    g = green(t)
+    """Index, pseudoinverse and unit of every element of a semigroup t,
+    read off each element's powers; t must be associative."""
     index = []
     pinv = []
     unit = []
-    for a in range(n):
-        p = a
-        k = 1
-        while not is_group_h_class(g, t, p):
-            p = tab[p][a]
-            k += 1
-            if k > n:
-                raise EpigroupError(f"no power of {a} reaches a group H-class")
-        members = g.h_members(p)
-        es = [e for e in members if tab[e][e] == e]
-        if len(es) != 1:
-            raise EpigroupError(f"group H-class of {p} has {len(es)} idempotents")
-        e = es[0]
-        ae = tab[a][e]
-        if g.h_class[ae] != g.h_class[p]:
-            raise EpigroupError(f"{a}*{e} left the group H-class of {p}")
-        inverses = [h for h in members if tab[ae][h] == e and tab[h][ae] == e]
-        if len(inverses) != 1:
-            raise EpigroupError(f"{ae} has {len(inverses)} inverses in its H-class")
-        index.append(k)
-        pinv.append(inverses[0])
-        unit.append(e)
+    for a in range(t.order):
+        powers, m = _powers(t.table, a)
+        r = len(powers) + 1 - m
+        # a^j = powers[m - 1 + (j - m) % r] for every j >= m
+        index.append(m)
+        pinv.append(powers[m - 1 + (-1 - m) % r])
+        unit.append(powers[m - 1 + -m % r])
     return EpigroupData(index=tuple(index), pseudoinverse=tuple(pinv), unit_of=tuple(unit))
 
 

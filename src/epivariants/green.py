@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import adjoin_identity
+from .core import TABLE_CACHE_SIZE, adjoin_identity
 
 
 class GreenError(Exception):
@@ -52,7 +52,7 @@ def idempotents(t):
     return frozenset(e for e in range(t.order) if t.table[e][e] == e)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def green(t):
     n = t.order
     s1 = adjoin_identity(t).table

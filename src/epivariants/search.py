@@ -356,7 +356,7 @@ def _recheck_models(models, spec, predicates):
 V1_CENSUS_REFERENCES = ("v1_nonvariant_a.sgp", "v1_nonvariant_b.sgp", "v1_nonvariant_c.sgp")
 
 
-def reproduce_v1_census(jobs=1):
+def reproduce_v1_census():
     """Re-run the census of unary semigroups in V_1 that are not unary
     variants of any completely regular semigroup: none below order 4 and
     exactly three at order 4, matching the shipped reference tables.
@@ -369,7 +369,7 @@ def reproduce_v1_census(jobs=1):
     results = {}
     for order in range(1, 5):
         spec = SearchSpec(order=order, structural_filters=("V1", "not:variant_of_CR"))
-        results[order] = enumerate_models(spec, jobs=jobs)
+        results[order] = enumerate_models(spec)
     counts = {order: len(results[order].models) for order in results}
     expected = {1: 0, 2: 0, 3: 0, 4: 3}
     if counts != expected:

@@ -8,6 +8,7 @@ lines as they happen).
 import pytest
 
 from epivariants import checks
+from epivariants.epigroup import EpigroupData
 from epivariants.varieties import VarietyReport, parse_identity
 
 CHECKS = {fn.__name__: fn for fn in checks.ALL_CHECKS}
@@ -54,6 +55,11 @@ def test_oracle_check_searches_every_pair(monkeypatch):
             "in_W_structural",
             lambda t: False,
             ["W characterizations disagree: E2-based=True, equational=True, products=False"],
+        ),
+        (
+            "epigroup_data",
+            lambda t: EpigroupData((1,) * t.order, tuple(range(t.order)), tuple(range(t.order))),
+            ["epigroup_data and Green's relations disagree at order 2"],
         ),
     ],
 )

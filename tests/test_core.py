@@ -217,11 +217,6 @@ def test_adjoin_identity_null():
     assert t.table[0][1] == 0 and t.table[1][0] == 0
 
 
-def test_adjoin_identity_force():
-    t = adjoin_identity(Z2, force=True)
-    assert t.order == 3 and identity_of(t) == 2
-
-
 def test_generate_identity_only():
     t, labels = generate_from_transformations([Transformation(2, (0, 1))])
     assert t.order == 1

@@ -1,6 +1,14 @@
 from itertools import product as iproduct
 
-from epivariants.core import CayleyTable, UnarySemigroup
+import pytest
+
+from epivariants.checks import _epigroup_oracle
+from epivariants.core import (
+    CayleyTable,
+    Transformation,
+    UnarySemigroup,
+    generate_from_transformations,
+)
 from epivariants.corpus import load_corpus
 from epivariants.epigroup import (
     element_index,
@@ -10,7 +18,6 @@ from epivariants.epigroup import (
     pseudoinverse_map,
     verify_epigroup_identities,
 )
-from epivariants.green import green, is_group_h_class
 from epivariants.search import semigroup_tables
 from epivariants.varieties import e_identity, find_counterexample, parse_identity
 
@@ -18,21 +25,48 @@ NULL2 = CayleyTable([[0, 0], [0, 0]])
 W_WITNESS = CayleyTable([[2, 3, 2, 2], [1, 1, 1, 1], [2, 2, 2, 2], [3, 3, 3, 3]])
 
 
-def index_oracle(t, a):
-    # oracle: walk powers directly and ask the Green machinery
-    g = green(t)
-    p, k = a, 1
-    while not is_group_h_class(g, t, p):
-        p = t.table[p][a]
-        k += 1
-    return k
-
-
 def test_element_index():
     z3 = load_corpus("z3.sgp")
     assert all(element_index(z3, a) == 1 for a in range(3))
-    assert element_index(NULL2, 1) == 2 == index_oracle(NULL2, 1)
-    assert element_index(W_WITNESS, 0) == 2 == index_oracle(W_WITNESS, 0)
+    assert element_index(NULL2, 1) == 2 == _epigroup_oracle(NULL2).index[1]
+    assert element_index(W_WITNESS, 0) == 2 == _epigroup_oracle(W_WITNESS).index[0]
+
+
+def test_epigroup_data_matches_green_oracle():
+    # every order-5 table, T_3 (order 27) and S_4 (order 24)
+    tables = list(semigroup_tables(5))
+    for gens in (((1, 0, 2), (1, 2, 0), (0, 0, 2)), ((1, 0, 2, 3), (1, 2, 3, 0))):
+        t, _ = generate_from_transformations([Transformation(len(g), g) for g in gens])
+        tables.append(t)
+    assert [t.order for t in tables[-2:]] == [27, 24]
+    for t in tables:
+        assert epigroup_data(t) == _epigroup_oracle(t), t.table
+
+
+def monogenic(m, r):
+    # <a | a^m = a^(m+r)>: element i is a^(i+1)
+    n = m + r - 1
+
+    def reduce(j):
+        return j if j <= n else m + (j - m) % r
+
+    powers = range(1, n + 1)
+    return CayleyTable.from_rows([[reduce(i + j) - 1 for j in powers] for i in powers])
+
+
+@pytest.mark.parametrize("m, r", list(iproduct(range(1, 6), repeat=2)))
+def test_monogenic_closed_forms(m, r):
+    # a^i has index ceil(m/i); its unit is the a^j, j >= m, with r | j, and
+    # its pseudoinverse the a^j, j >= m, with j = -i (mod r)
+    t = monogenic(m, r)
+    data = epigroup_data(t)
+    assert data == _epigroup_oracle(t)
+    cycle = range(m, m + r)
+    unit = next(j for j in cycle if j % r == 0)
+    for i in range(1, m + r):
+        assert data.index[i - 1] == -(-m // i)
+        assert data.unit_of[i - 1] == unit - 1
+        assert data.pseudoinverse[i - 1] == next(j for j in cycle if (i + j) % r == 0) - 1
 
 
 def test_pseudoinverse_group_inversion():

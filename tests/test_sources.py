@@ -1,3 +1,4 @@
+import ast
 import warnings
 from pathlib import Path
 
@@ -12,3 +13,16 @@ def test_sources_compile_without_warnings():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             compile(path.read_text(), str(path), "exec")
+
+
+def test_epigroup_does_not_import_green():
+    # epigroup_data reads powers; Green's relations are the oracle's business
+    tree = ast.parse((Path(epivariants.__file__).parent / "epigroup.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {name for name in imported if name.split(".")[-1] == "green"}, imported
