@@ -4,7 +4,10 @@ isomorphism testing and canonical forms.
 Elements are dense integer indices 0..n-1.  Entry (row a, column b) of the
 table holds the product a*b.  Associativity is a checked invariant, never
 assumed at construction time: build with ``CayleyTable.from_rows`` or call
-``validate`` explicitly.
+``validate`` explicitly.  The one result that is inherited rather than
+checked is a variant's: a *_c b = acb is associative whenever the table it
+is built from is, since (acb)cd = ac(bcd), so ``variants.variant`` of a
+table that ``validate`` passed skips the check.
 """
 
 from __future__ import annotations
@@ -97,40 +100,31 @@ def validate(t):
     b*n + c.  The first index where they differ gives the lexicographically
     first failing triple (a, b, c).
 
-    Both comparisons read row a only through its contents, so each distinct
-    row object is checked, encoded and compared once, at its first index;
-    the first failure is still found at the smallest a.  A variant's table
-    reuses its base's rows, so it has at most |Sc| distinct rows.  Rows are
-    keyed by object identity, not by value: the table keeps every row alive
-    and a tuple never changes, whereas ``(0, 1.0)`` equals and hashes like
-    ``(0, 1)`` and would skip its own entry check.
+    A table that passes is marked as checked, so that ``variants.variant``
+    can pass the result on to its variants; the mark is never read here,
+    and every call runs the full check.
     """
     n = t.order
     tab = t.table
     values = set(range(n))
-    strings = {}  # id of each distinct row object -> the row as a chr string
-    firsts = []   # index of each distinct row object's first occurrence
     rows = []
     for a, row in enumerate(tab):
-        string = strings.get(id(row))
-        if string is None:
-            if len(row) != n:
-                raise SemigroupError(f"row {a} has length {len(row)}, expected {n}")
-            if not (set(map(type, row)) <= {int} and values.issuperset(row)):
-                for b, v in enumerate(row):
-                    if not isinstance(v, int) or not 0 <= v < n:
-                        raise EntryOutOfRange((a, b), v)
-            string = strings[id(row)] = "".join(map(chr, row))
-            firsts.append(a)
-        rows.append(string)
+        if len(row) != n:
+            raise SemigroupError(f"row {a} has length {len(row)}, expected {n}")
+        if not (set(map(type, row)) <= {int} and values.issuperset(row)):
+            for b, v in enumerate(row):
+                if not isinstance(v, int) or not 0 <= v < n:
+                    raise EntryOutOfRange((a, b), v)
+        rows.append("".join(map(chr, row)))
     cells = "".join(rows)
     row_of = rows.__getitem__
-    for a in firsts:
-        left = "".join(map(row_of, tab[a]))
+    for a, row in enumerate(tab):
+        left = "".join(map(row_of, row))
         right = cells.translate(rows[a])
         if left != right:
             i = next(k for k, (x, y) in enumerate(zip(left, right)) if x != y)
             raise NotAssociative((a, *divmod(i, n)))
+    object.__setattr__(t, "_validated", True)
     return t
 
 

@@ -24,12 +24,21 @@ class CheckReport:
 
 
 def variant(t, c):
-    """The table of a *_c b = acb: row a is row ac of t, the same tuple
-    object, so ``validate`` checks each of the at most |Sc| rows once."""
+    """The table of a *_c b = acb: row a is row ac of t.
+
+    If ``validate`` passed t, the variant is a semigroup without a check,
+    since (a *_c b) *_c d = acbcd = a *_c (b *_c d), and it is marked as
+    checked in turn.  Any other t gets its variant validated, so a magma's
+    variant still raises with its first failing triple."""
     tab = t.table
     if not 0 <= c < t.order:
         raise ValueError(f"sandwich element {c} out of range")
-    return CayleyTable.from_rows([tab[row[c]] for row in tab])
+    rows = [tab[row[c]] for row in tab]
+    if not getattr(t, "_validated", False):
+        return CayleyTable.from_rows(rows)
+    v = CayleyTable(rows)
+    object.__setattr__(v, "_validated", True)
+    return v
 
 
 def star(s, c):

@@ -26,3 +26,50 @@ def test_epigroup_does_not_import_green():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert not {name for name in imported if name.split(".")[-1] == "green"}, imported
+
+
+MARK = "_validated"  # the attribute validate sets on a table that passes
+SETTERS = ("setattr", "__setattr__", "delattr", "__delattr__")
+
+
+def _mark_uses(tree):
+    """(qualified name of the enclosing def, "set" | "read") for each use of
+    the mark: an attribute store or delete, a keyword argument or the name
+    argument of a setter call sets it; any other use reads it."""
+    uses = []
+    setter_args = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Attribute) and node.attr == MARK:
+            uses.append((scope, "read" if isinstance(node.ctx, ast.Load) else "set"))
+        elif isinstance(node, ast.keyword) and node.arg == MARK:
+            uses.append((scope, "set"))
+        elif isinstance(node, ast.Call):
+            callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+            for arg in node.args:
+                if callee in SETTERS and isinstance(arg, ast.Constant) and arg.value == MARK:
+                    uses.append((scope, "set"))
+                    setter_args.add(id(arg))
+        elif isinstance(node, ast.Constant) and node.value == MARK and id(node) not in setter_args:
+            uses.append((scope, "read"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return uses
+
+
+def test_validated_mark_is_set_and_read_only_where_sound():
+    # variant skips validate on a table that carries the mark, so only
+    # validate (after its full check) and variant (on the variant of a
+    # marked table) may set it, and only variant may read it
+    uses = set()
+    for path in sorted(Path(epivariants.__file__).parent.glob("*.py")):
+        uses.update((path.stem, *use) for use in _mark_uses(ast.parse(path.read_text())))
+    assert uses == {
+        ("core", "validate", "set"),
+        ("variants", "variant", "set"),
+        ("variants", "variant", "read"),
+    }

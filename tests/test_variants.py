@@ -1,7 +1,10 @@
+import dataclasses
+import pickle
 import random
 
 import pytest
 
+from epivariants import core
 from epivariants.core import (
     CapExceeded,
     CayleyTable,
@@ -48,10 +51,86 @@ def test_variant_at_zero_is_null():
 
 
 def test_variant_always_associative():
-    for order in (1, 2, 3):
+    # the theorem that lets variant skip validate, checked on fresh tables
+    # that carry nothing over from the table they came from
+    for order in (1, 2, 3, 4, 5):
         for t in semigroup_tables(order):
             for c in range(order):
-                validate(variant(t, c))
+                validate(CayleyTable(variant(t, c).table))
+
+
+def _validate_spy(monkeypatch):
+    calls = []
+    real = core.validate
+
+    def spy(t):
+        calls.append(t.table)
+        return real(t)
+
+    monkeypatch.setattr(core, "validate", spy)
+    return calls
+
+
+def test_variant_skips_validate_only_for_a_validated_table(monkeypatch):
+    tables = semigroup_tables(3)
+    calls = _validate_spy(monkeypatch)
+    for t in tables:
+        for c in range(3):
+            v = variant(CayleyTable(t.table), c)
+            assert calls == [v.table]
+            calls.clear()
+            # a validated table, and a variant built from one, pass the
+            # result on
+            assert variant(t, c) == v
+            assert variant(v, c) == variant(variant(t, c), c)
+            assert calls == []
+    # a direct call to validate marks the table as well
+    checked = core.validate(CayleyTable(tables[-1].table))
+    assert variant(checked, 1) == variant(tables[-1], 1)
+    assert len(calls) == 1
+
+
+def test_failed_validate_leaves_no_record(monkeypatch):
+    rng = random.Random(1911)
+    magmas = 0
+    while magmas < 20:
+        n = rng.randrange(2, 5)
+        t = CayleyTable([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+        c = rng.randrange(n)
+        try:
+            validate(CayleyTable([t.table[row[c]] for row in t.table]))
+        except NotAssociative as exc:
+            expected = exc
+        else:
+            continue
+        # a variant that is not associative comes from a table that is not
+        with pytest.raises(NotAssociative):
+            validate(t)
+        assert vars(t) == {"table": t.table}
+        calls = _validate_spy(monkeypatch)
+        with pytest.raises(NotAssociative) as raised:
+            variant(t, c)
+        assert len(calls) == 1
+        assert raised.value.witness == expected.witness
+        assert str(raised.value) == str(expected)
+        monkeypatch.undo()
+        magmas += 1
+
+
+def test_validated_and_bare_tables_are_indistinguishable():
+    assert [f.name for f in dataclasses.fields(CayleyTable)] == ["table"]
+    for t in semigroup_tables(3):
+        rows = [list(row) for row in t.table]
+        checked, bare = CayleyTable.from_rows(rows), CayleyTable(rows)
+        assert checked == bare and hash(checked) == hash(bare)
+        assert repr(checked) == repr(bare)
+        for c in range(3):
+            assert variant(checked, c) == variant(bare, c)
+            assert repr(variant(checked, c)) == repr(variant(bare, c))
+        for x in (checked, bare, variant(checked, 1), variant(bare, 1)):
+            copy = pickle.loads(pickle.dumps(x))
+            assert copy == x and hash(copy) == hash(x)
+            assert variant(copy, 2) == variant(x, 2)
 
 
 def test_variant_of_magma_is_still_validated():
