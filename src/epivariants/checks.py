@@ -13,7 +13,7 @@ from itertools import product as iproduct
 from .conjugacy import check_transitivity, conjugacy_classes, primary_conjugacy
 from .core import (
     CayleyTable,
-    _element_signatures,
+    _invariants,
     _isomorphism_search,
     canonical_form,
     identity_of,
@@ -370,12 +370,12 @@ def check_oracles():
         forms = [canonical_form(t) for t in tables]
         # find_isomorphism's search runs on every pair, never skipped on
         # canonical forms, which it is checked against; each table's element
-        # signatures are computed once
+        # signatures are computed and sorted once
         rows = [t.table for t in tables]
-        sigs = [_element_signatures(r, None) for r in rows]
+        invs = [_invariants(r, None) for r in rows]
         for i in range(len(tables)):
             for j in range(i, len(tables)):
-                phi = _isomorphism_search(rows[i], None, sigs[i], rows[j], None, sigs[j])
+                phi = _isomorphism_search(rows[i], None, invs[i], rows[j], None, invs[j])
                 iso = phi is not None
                 if iso != (forms[i] == forms[j]):
                     problems.append(f"iso/canonical mismatch at order {order} ({i},{j})")

@@ -14,7 +14,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
+from functools import lru_cache
+from itertools import islice, permutations
+from math import factorial
+from operator import itemgetter
 
 
 # maxsize of the lru_caches that green and epigroup_data key by whole tables
@@ -284,6 +287,13 @@ def _element_signatures(table, unary):
     return sigs
 
 
+def _invariants(table, unary):
+    """(signatures, multiset): the element signatures and their sorted
+    list, which isomorphic tables share; computed once per table."""
+    sigs = _element_signatures(table, unary)
+    return sigs, sorted(sigs)
+
+
 def find_isomorphism(s, t):
     """A bijection phi with phi(ab) = phi(a)phi(b) (and phi(a') = phi(a)' in
     the unary case), or None.  Backtracking with invariant-based pruning."""
@@ -293,16 +303,16 @@ def find_isomorphism(s, t):
         raise TypeError("cannot compare a plain table with a unary semigroup")
     if len(t1) != len(t2):
         return None
-    return _isomorphism_search(
-        t1, u1, _element_signatures(t1, u1), t2, u2, _element_signatures(t2, u2)
-    )
+    return _isomorphism_search(t1, u1, _invariants(t1, u1), t2, u2, _invariants(t2, u2))
 
 
-def _isomorphism_search(t1, u1, sig1, t2, u2, sig2):
-    """find_isomorphism on tables of one order and kind whose element
-    signatures are already computed; the first phi in backtracking order."""
+def _isomorphism_search(t1, u1, inv1, t2, u2, inv2):
+    """find_isomorphism on tables of one order and kind whose
+    ``_invariants`` are already computed; the first phi in backtracking
+    order."""
     n = len(t1)
-    if sorted(sig1) != sorted(sig2):
+    (sig1, multiset1), (sig2, multiset2) = inv1, inv2
+    if multiset1 != multiset2:
         return None
     candidates = [[b for b in range(n) if sig2[b] == sig1[a]] for a in range(n)]
     phi = [-1] * n
@@ -379,65 +389,160 @@ def relabel(s, perm):
     return UnarySemigroup(CayleyTable(rows), new_unary)
 
 
-def _flat(table, unary):
-    flat = [v for row in table for v in row]
-    if unary is not None:
-        flat.extend(unary)
-    return flat
+# Relabelings are cached for every order up to this one, the largest that
+# the table search enumerates.
+MAX_PLAIN_ORDER = 6
 
 
-def _smaller_relabelings(table, unary):
-    """Scan all n! relabelings of a table (and its unary map, if any) in
-    row-major order, yielding each serialization that is lexicographically
-    smaller than the table itself and every serialization yielded before it.
+def _relabeling_entries(n, rows, unary):
+    """The relabelings of order n that map {0..rows-1} onto itself, in
+    lexicographic order of inv (the identity first), each as (ptab, get);
+    n >= 2.
 
-    A relabeling is dropped at the first cell where it exceeds the best so
-    far, so only the improving ones are serialized in full.  The last value
-    yielded is the lex-min; nothing is yielded when the table is its own
-    lex-min.
+    A relabeling sends element inv[k] to k, so cell (i, j) of the relabeled
+    table is perm[t[inv[i]][inv[j]]] with perm the inverse of inv, and its
+    unary map reads perm[u[inv[i]]].  On the serialization ``flat`` of t's
+    rows 0..rows-1 (then u, if any), ``flat.translate(ptab)`` applies perm to
+    every value and ``get`` reads the results in the relabeled order.
     """
-    n = len(table)
-    best = _flat(table, unary)
-    perm = [0] * n
-    for inv in permutations(range(n)):
+    if rows == n:
+        invs = permutations(range(n))
+    else:
+        tails = list(permutations(range(rows, n)))
+        invs = (head + tail for head in permutations(range(rows)) for tail in tails)
+    pad = bytes(256 - n)
+    for inv in invs:
+        perm = [0] * n
         for new, old in enumerate(inv):
             perm[old] = new
-        idx = 0
-        cmp = 0
-        for x in inv:
-            row = table[x]
-            for y in inv:
-                v = perm[row[y]]
-                if v != best[idx]:
-                    cmp = v - best[idx]
-                    break
-                idx += 1
-            if cmp:
-                break
-        if not cmp and unary is not None:
-            for x in inv:
-                v = perm[unary[x]]
-                if v != best[idx]:
-                    cmp = v - best[idx]
-                    break
-                idx += 1
-        if cmp < 0:
-            best = [perm[table[x][y]] for x in inv for y in inv]
-            if unary is not None:
-                best.extend(perm[unary[x]] for x in inv)
-            yield best
+        src = [a * n + b for a in inv[:rows] for b in inv]
+        if unary:
+            src.extend(n * n + a for a in inv)
+        yield bytes(perm) + pad, itemgetter(*src)
+
+
+def _relabelings(n, rows, unary):
+    """(branch, entries): ``_relabeling_entries`` with branch[e], the number
+    of relabelings that share any one inv[0..e]."""
+    branch = tuple(
+        factorial(max(rows - e - 1, 0)) * factorial(n - max(rows, e + 1)) for e in range(n)
+    )
+    return branch, _relabeling_entries(n, rows, unary)
+
+
+@lru_cache(maxsize=None)
+def _cached_relabelings(n, rows, unary):
+    # built on first use, only for n <= MAX_PLAIN_ORDER: under 2 MB in all
+    branch, entries = _relabelings(n, rows, unary)
+    return branch, tuple(entries)
+
+
+def _lex_leader(table, unary=None, rows=None, stop=False):
+    """The lexicographically least row-major serialization of a table (its
+    unary map appended) over its relabelings, as a tuple.
+
+    With ``rows``, only the first ``rows`` rows are serialized and only the
+    relabelings that map {0..rows-1} onto itself are tried: those read no
+    other row, so the rest of the table may be unfilled.  With ``stop``, the
+    walk ends at the first relabeling that beats the table's own
+    serialization and returns None; otherwise, and when none does, it
+    returns the least one found.
+
+    The relabelings are walked in lexicographic order of inv, which is a
+    depth-first walk of the tree whose level k fixes inv[k].  A relabeling
+    that ties rows 0..i-1 and first exceeds the best so far at cell (i, j)
+    prunes its whole branch at level e: every relabeling sharing inv[0..e]
+    exceeds the best there too, as long as inv[0..e] fixes the cells read
+    so far and the labels of the values they must take.  Cell (i, j) then
+    reads the same product, whose label is either fixed, or not among
+    inv[0..e] and so at least e + 1, above the best value at (i, j).  That
+    holds for e at least i, j and each best value up to (i, j) in row i,
+    provided rows 0..i-1 are constant rows of the best: a row whose cells
+    all hold w reads the same product whatever its columns, and needs only
+    inv[w] and its own row label fixed.  A tied row that is not constant depends on
+    every column, so no branch is pruned below it.
+    """
+    n = len(table)
+    if rows is None:
+        rows = n
+        flat = b"".join(map(bytes, table))
+        if unary is not None:
+            flat += bytes(unary)
+    else:
+        unary = None
+        flat = b"".join(map(bytes, table[:rows]))
+    best = tuple(flat)
+    if n < 2:
+        return best  # the identity is the only relabeling
+    relabelings = _cached_relabelings if n <= MAX_PLAIN_ORDER else _relabelings
+    branch, entries = relabelings(n, rows, unary is not None)
+    entries = iter(entries)
+    next(entries)  # the identity
+    # finding the branch to prune costs about as much as comparing a few
+    # relabelings: it is done only where a branch may hold more than six,
+    # and from the second greater relabeling on, as most tests end sooner
+    prunable = branch[0] > 6
+    wait = True
+    head = None
+    x = 0
+    for ptab, get in entries:
+        x += 1
+        cand = get(flat.translate(ptab))
+        if cand < best:
+            if stop:
+                return None
+            best = cand
+            head = None
+        elif prunable and cand != best:
+            if head is None:
+                if wait:
+                    wait = False
+                    continue
+                head, reach = _constant_head(best, n, rows)
+                pruned = [0] * len(head)
+            mine = cand[:len(head)]
+            if mine != head:
+                for p, v in enumerate(mine):
+                    if v != head[p]:
+                        break
+                size = pruned[p]
+                if not size:
+                    i, j = divmod(p, n)
+                    size = pruned[p] = branch[max(reach[i], j, *head[i * n:p + 1])]
+                skip = size - 1 - x % size
+                if skip:
+                    next(islice(entries, skip, skip), None)
+                    x += skip
+    return best
+
+
+def _constant_head(best, n, rows):
+    """(head, reach): head is the leading constant rows of the
+    serialization ``best`` and the row after them; relabelings that tie
+    rows 0..i-1 of head and share inv[0..reach[i]] read row i from the same
+    row of the table (see ``_lex_leader``)."""
+    head = ()
+    reach = []
+    e = 0
+    for i in range(rows):
+        row = best[i * n:i * n + n]
+        head += row
+        e = max(e, i)
+        reach.append(e)
+        if row.count(row[0]) != n:
+            break
+        e = max(e, row[0])
+    return head, reach
 
 
 def canonical_form(s):
-    """Lexicographically minimal row-major serialization (unary map appended)
-    over all n! relabelings; equal byte strings iff isomorphic (same kind
-    assumed).  Relabelings are pruned at their first cell larger than the
-    best so far, which leaves the minimum unchanged."""
+    """The isomorphism invariant of a table or unary semigroup: its order,
+    then the lexicographically least row-major serialization (unary map
+    appended) over all n! relabelings.  Equal byte strings iff isomorphic
+    (same kind assumed).  Computed by ``_lex_leader``, which prunes whole
+    branches of relabelings at their first cell above the best so far."""
     table, unary = _unpack(s)
-    best = _flat(table, unary)
-    for best in _smaller_relabelings(table, unary):
-        pass
-    return bytes([len(table)]) + bytes(best)
+    return bytes([len(table)]) + bytes(_lex_leader(table, unary))
 
 
 def transpose(t):

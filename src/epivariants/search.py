@@ -2,7 +2,8 @@
 
 The enumerator fixes the first row, then fills the rest of the
 multiplication table cell by cell in row-major order.  Three tests cut the
-tree:
+tree; the last two are one routine, ``core._lex_leader``, which also
+computes ``core.canonical_form``:
 
 - Cell test.  A partial table is rejected as soon as a fully determined
   triple breaks associativity.  The triples that use a newly set cell (a, b)
@@ -10,16 +11,14 @@ tree:
   the last two come from a per-value index ``where[v]`` of the filled cells
   holding v, which ``_fill`` appends to on set and pops on unset, so no step
   scans all n^2 cells.
-- Prefix test (lex-leader pruning).  When rows 0..r are filled, every
-  relabeling that maps {0..r} onto itself, other than the identity, is tried
-  on them: its rows 0..r read only filled cells.  If one makes them
-  lexicographically smaller than the table's own rows 0..r, every completion
-  has a smaller relabeling and is not canonical, so the subtree is cut.  The
-  r = 0 case screens first rows before any cell test; the relabeling lists
-  are built once per order.
-- Leaf test.  A complete table is kept only when it equals its own
-  canonical relabeling (``core._smaller_relabelings``), so each isomorphism
-  class is emitted exactly once.  This test alone decides canonicity; the
+- Prefix test (lex-leader pruning).  When rows 0..r are filled, the
+  relabelings that map {0..r} onto itself are tried on them; they read only
+  filled cells.  If one makes rows 0..r lexicographically smaller, every
+  completion has a smaller relabeling and is not canonical, so the subtree
+  is cut.  The r = 0 case screens first rows before any cell test.
+- Leaf test.  A complete table is kept only when no relabeling makes it
+  lexicographically smaller, so each isomorphism class is emitted exactly
+  once, as its canonical form.  This test alone decides canonicity; the
   other two only cut subtrees that hold no canonical table.
 """
 
@@ -28,26 +27,23 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import permutations
 from itertools import product as iproduct
 
 from .core import (
+    MAX_PLAIN_ORDER,
     CapExceeded,
     CayleyTable,
     SemigroupError,
     UnarySemigroup,
-    _smaller_relabelings,
+    _lex_leader,
     anti_canonical_form,
     canonical_form,
     find_isomorphism,
-    transpose,
     validate,
 )
 from .epigroup import is_completely_regular, pseudoinverse_map
 from .varieties import find_counterexample, in_E, in_V, in_W, in_W_structural
 
-MAX_PLAIN_ORDER = 6
 MAX_CROSS_SEARCH_ORDER = 4
 
 
@@ -90,83 +86,64 @@ def _cell_consistent(t, a, b, where):
     return True
 
 
-@lru_cache(maxsize=MAX_PLAIN_ORDER)
-def _prefix_relabelings(n):
-    """For each r in 0..n-2, the relabelings other than the identity that
-    map {0..r} onto itself, as (perm, src) pairs.
-
-    Row i of a relabeled table reads ``perm[t[inv[i]][inv[j]]]``; with inv
-    fixing {0..r} setwise, rows 0..r read only rows 0..r of t.  ``src[k]``
-    is the index, in the row-major prefix of t's rows 0..r, of the cell that
-    position k of the relabeled prefix reads.
-    """
-    identity = tuple(range(n))
-    result = []
-    for r in range(n - 1):
-        rels = []
-        for head in permutations(range(r + 1)):
-            for tail in permutations(range(r + 1, n)):
-                inv = head + tail
-                if inv == identity:
-                    continue
-                perm = [0] * n
-                for new, old in enumerate(inv):
-                    perm[old] = new
-                src = tuple(inv[i] * n + inv[j] for i in range(r + 1) for j in range(n))
-                rels.append((tuple(perm), src))
-        result.append(tuple(rels))
-    return tuple(result)
-
-
-def _prefix_beaten(prefix, rels):
-    """True when some relabeling in ``rels`` makes the row-major prefix (a
-    list) lexicographically smaller; then every completion of it has a
-    smaller relabeling, and none is canonical."""
-    for perm, src in rels:
-        if [perm[prefix[k]] for k in src] < prefix:
-            return True
-    return False
-
-
 def _is_canonical(t):
     # stops at the first relabeling that beats t
-    return next(_smaller_relabelings(t, None), None) is None
+    return _lex_leader(t, stop=True) is not None
 
 
-def _fill(t, pos, n, where, rels, out):
+def _fill(t, pos, n, where, out):
     if pos == n * n:
         if _is_canonical(t):
             out.append(tuple(tuple(row) for row in t))
         return
     a, b = divmod(pos, n)
-    if b == 0 and a > 1 and _prefix_beaten([v for row in t[:a] for v in row], rels[a - 1]):
-        return  # rows 0..a-1 are complete and a relabeling fixing them beats them
+    if b == 0 and a > 1 and _lex_leader(t, rows=a, stop=True) is None:
+        # rows 0..a-1 are complete and a relabeling mapping {0..a-1} onto
+        # itself beats them, so it beats every completion too
+        return
     row = t[a]
     for v in range(n):
         row[b] = v
         cells = where[v]
         cells.append((a, b))
         if _cell_consistent(t, a, b, where):
-            _fill(t, pos + 1, n, where, rels, out)
+            _fill(t, pos + 1, n, where, out)
         cells.pop()
     row[b] = -1
 
 
-def _enumerate_with_first_row(args):
-    n, first_row = args
-    rels = _prefix_relabelings(n)
-    t = [list(first_row)] + [[-1] * n for _ in range(n - 1)]
-    if n > 1 and _prefix_beaten(t[0], rels[0]):
+def _enumerate_with_rows(args):
+    """The canonical tables of order n whose leading rows are the given
+    ones (the first row alone, or the first two)."""
+    n, rows = args
+    t = [list(rows[0])] + [[-1] * n for _ in range(n - 1)]
+    if n > 1 and _lex_leader(t, rows=1, stop=True) is None:
         return []
     where = [[] for _ in range(n)]
-    for b, v in enumerate(first_row):
+    for b, v in enumerate(rows[0]):
         where[v].append((0, b))
     for b in range(n):
         if not _cell_consistent(t, 0, b, where):
             return []
+    for a in range(1, len(rows)):
+        for b, v in enumerate(rows[a]):
+            t[a][b] = v
+            where[v].append((a, b))
+            if not _cell_consistent(t, a, b, where):
+                return []
     out = []
-    _fill(t, n, n, where, rels, out)
+    _fill(t, n * len(rows), n, where, out)
     return out
+
+
+def _tasks(order, split):
+    """The search as tasks, one per first row; with ``split``, the all-zero
+    first row, whose subtree holds most of the work, gives one task per
+    second row instead."""
+    rows = list(iproduct(range(order), repeat=order))
+    if not split or order < 2:
+        return [(order, (row,)) for row in rows]
+    return [(order, (rows[0], second)) for second in rows] + [(order, (row,)) for row in rows[1:]]
 
 
 _TABLE_CACHE = {}
@@ -181,15 +158,14 @@ def semigroup_tables(order, jobs=1):
         raise CapExceeded(f"order {order} exceeds the enumeration cap {MAX_PLAIN_ORDER}")
     if order in _TABLE_CACHE:
         return _TABLE_CACHE[order]
-    prefixes = [(order, row) for row in iproduct(range(order), repeat=order)]
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
-            # one first row per task: a few first rows (the all-zero one above
-            # all) hold most of the work, and a default chunk would put them
-            # on one worker together with thousands of others
-            chunks = pool.map(_enumerate_with_first_row, prefixes, chunksize=1)
+            # most tasks end within microseconds, so they go out 64 at a
+            # time; the default chunk, an eighth of a worker's share, would
+            # put the few heavy ones on one worker together
+            chunks = pool.map(_enumerate_with_rows, _tasks(order, True), chunksize=64)
     else:
-        chunks = [_enumerate_with_first_row(p) for p in prefixes]
+        chunks = [_enumerate_with_rows(task) for task in _tasks(order, False)]
     tables = sorted(t for chunk in chunks for t in chunk)
     result = tuple(CayleyTable(t) for t in tables)
     for t in result:
@@ -204,12 +180,11 @@ def count_semigroups(order, merge_anti=False, jobs=1):
     tables = semigroup_tables(order, jobs=jobs)
     if not merge_anti:
         return len(tables)
-    # each representative is its own canonical form, so only its transpose
-    # is searched
+    # each representative is its own lex leader, so only its transpose is
+    # searched
     forms = set()
     for t in tables:
-        own = bytes([order]) + bytes(v for row in t.table for v in row)
-        forms.add(min(own, canonical_form(transpose(t))))
+        forms.add(min(tuple(v for row in t.table for v in row), _lex_leader(tuple(zip(*t.table)))))
     return len(forms)
 
 

@@ -5,6 +5,7 @@ from itertools import permutations, product as iproduct
 import pytest
 
 from epivariants.core import (
+    MAX_PLAIN_ORDER,
     CapExceeded,
     CayleyTable,
     EntryOutOfRange,
@@ -352,10 +353,24 @@ def _oracle_models():
     return list(_small_models()) + list(_free_unary_models()) + list(_generated_models())
 
 
+def _relabelled_order_5_models(count):
+    # seeded random relabellings of order-5 classes, plain and with their
+    # pseudoinverse map: tables that are mostly not their own canonical form
+    rng = random.Random(5)
+    for t in rng.sample(semigroup_tables(5), count):
+        perm = list(range(5))
+        rng.shuffle(perm)
+        yield relabel(t, perm)
+        yield relabel(pseudoinverse_map(t), perm)
+
+
 def test_canonical_form_matches_brute_force():
-    models = _oracle_models()
-    assert len(models) == 2 * 218 + (1 + 5 * 4 + 24 * 27 + 4**4 + 188) + 8
-    assert sorted({m.order for m in models}) == [1, 2, 3, 4, 5, 6]
+    # the order-7 monoid is past MAX_PLAIN_ORDER, where the relabelings are
+    # built on each call instead of cached
+    t, _ = generate_from_transformations([Transformation(3, (0, 0, 1)), Transformation(3, (1, 0, 0))])
+    models = _oracle_models() + list(_relabelled_order_5_models(300)) + [adjoin_identity(t)]
+    assert len(models) == 2 * 218 + (1 + 5 * 4 + 24 * 27 + 4**4 + 188) + 8 + 2 * 300 + 1
+    assert sorted({m.order for m in models}) == [1, 2, 3, 4, 5, 6, MAX_PLAIN_ORDER + 1]
     for m in models:
         assert canonical_form(m) == brute_force_canonical_form(m)
 

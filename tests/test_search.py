@@ -1,13 +1,19 @@
+import hashlib
 from functools import lru_cache
 from itertools import product as iproduct
 
 import pytest
 
-from epivariants.core import CapExceeded, CayleyTable, UnarySemigroup, canonical_form, validate
+from epivariants.core import (
+    CapExceeded,
+    CayleyTable,
+    UnarySemigroup,
+    _lex_leader,
+    canonical_form,
+    validate,
+)
 from epivariants.search import (
     SearchSpec,
-    _prefix_beaten,
-    _prefix_relabelings,
     count_semigroups,
     enumerate_models,
     reproduce_v1_census,
@@ -103,17 +109,15 @@ def test_complete_against_labelled_backtracker():
 def test_prefix_test_rejects_only_non_canonical_tables():
     # every labelled semigroup of order <= 4, so every relabeling of every
     # class: whenever the prefix test rejects rows 0..r, the table is not its
-    # own canonical form
+    # own canonical form; the prefix test reads no row after row r
     rejected = 0
     for order in (2, 3, 4):
-        rels = _prefix_relabelings(order)
-        assert len(rels) == order - 1
         for t in labelled_semigroups(order):
             flat = bytes([order]) + bytes(v for row in t.table for v in row)
             canonical = flat == canonical_form(t)
             for r in range(order - 1):
-                prefix = [v for row in t.table[:r + 1] for v in row]
-                if _prefix_beaten(prefix, rels[r]):
+                partial = [list(row) for row in t.table[:r + 1]] + [[-1] * order] * (order - r - 1)
+                if _lex_leader(partial, rows=r + 1, stop=True) is None:
                     rejected += 1
                     assert not canonical, (t.table, r)
     assert rejected > 0
@@ -134,7 +138,8 @@ def test_tables_are_valid_canonical_and_sorted():
 def test_parallel_matches_sequential():
     from epivariants import search
 
-    for order in (3, 4, 5):
+    # order 1 has no second row to split the all-zero first row by
+    for order in (1, 3, 4, 5):
         sequential = semigroup_tables(order)
         search._TABLE_CACHE.pop(order, None)
         try:
@@ -224,9 +229,20 @@ def test_census_reproduces():
         assert len(set(model.unary)) == 3
 
 
+def tables_digest(order):
+    # sha256 of every cell of every representative, in sorted order: pins
+    # the canonical bytes and the choice of representatives
+    tables = sorted(t.table for t in semigroup_tables(order))
+    return hashlib.sha256(bytes(v for table in tables for row in table for v in row)).hexdigest()
+
+
 def test_order_5_counts():
     assert count_semigroups(5) == 1915
     assert count_semigroups(5, merge_anti=True) == 1160
+
+
+def test_order_5_tables_are_pinned():
+    assert tables_digest(5) == "5eefd21c0b9c1a86f17135e1329c0ec23f5c9969d5475fad2ce7589e4f0e0570"
 
 
 @pytest.mark.slow
@@ -234,3 +250,4 @@ def test_order_6_counts():
     # OEIS A027851 and A001423
     assert count_semigroups(6) == 28634
     assert count_semigroups(6, merge_anti=True) == 15973
+    assert tables_digest(6) == "e8eb333c8fa4ab76e684fa02b6ec49d66117d0a8efd2dd06161c61c7d3526f47"

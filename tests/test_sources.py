@@ -73,3 +73,38 @@ def test_validated_mark_is_set_and_read_only_where_sound():
         ("variants", "variant", "set"),
         ("variants", "variant", "read"),
     }
+
+
+def _permutations_uses(tree):
+    """(qualified name of the enclosing def, kind) for each import of
+    itertools.permutations and each use of the name."""
+    uses = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            if any(alias.name == "permutations" for alias in node.names):
+                uses.append((scope, "import"))
+        elif isinstance(node, ast.Name) and node.id == "permutations":
+            uses.append((scope, "use"))
+        elif isinstance(node, ast.Attribute) and node.attr == "permutations":
+            uses.append((scope, "use"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return uses
+
+
+def test_relabelings_are_enumerated_only_by_the_lex_leader_routine():
+    # canonical form has one implementation: core._lex_leader walks the
+    # relabelings that core._relabeling_entries lists, and nothing else in
+    # the package enumerates them
+    uses = set()
+    for path in sorted(Path(epivariants.__file__).parent.glob("*.py")):
+        uses.update((path.stem, *use) for use in _permutations_uses(ast.parse(path.read_text())))
+    assert uses == {
+        ("core", "", "import"),
+        ("core", "_relabeling_entries", "use"),
+    }
