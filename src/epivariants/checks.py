@@ -295,7 +295,7 @@ def _epigroup_oracle(t):
     unit = []
     for a in range(t.order):
         p, k = a, 1
-        while not is_group_h_class(g, t, p):
+        while not is_group_h_class(g, p):
             p = tab[p][a]
             k += 1
         members = g.h_members(p)
@@ -306,6 +306,33 @@ def _epigroup_oracle(t):
         pinv.append(inverse)
         unit.append(e)
     return EpigroupData(index=tuple(index), pseudoinverse=tuple(pinv), unit_of=tuple(unit))
+
+
+def _green_disagreements(t):
+    """The failures, on t, of three equivalences that hold on every finite
+    semigroup, read off ``green``'s classes: R o L = L o R, D = J with D
+    taken as R o L, and "H_a holds an idempotent" iff "a*a lies in H_a".
+    Each reports its first failure only."""
+    g = green(t)
+    n = t.order
+    r, l, h, j = g.r_class, g.l_class, g.h_class, g.j_class
+    # a (R o L) b iff the pair of classes (R_a, L_b) is occupied; a (L o R) b
+    # iff (R_b, L_a) is
+    pairs = set(zip(r, l))
+    problems = []
+    for a, b in iproduct(range(n), repeat=2):
+        if ((r[a], l[b]) in pairs) != ((r[b], l[a]) in pairs):
+            problems.append(f"R o L != L o R at ({a},{b})")
+            break
+    for a, b in iproduct(range(n), repeat=2):
+        if ((r[a], l[b]) in pairs) != (j[a] == j[b]):
+            problems.append(f"D != J at ({a},{b})")
+            break
+    for a in range(n):
+        if (h[a] in g.group_h_classes) != (h[t.table[a][a]] == h[a]):
+            problems.append(f"group H-class criteria disagree at element {a}")
+            break
+    return problems
 
 
 def _variety_disagreements(s):
@@ -358,7 +385,9 @@ def check_oracles():
     ``in_W_structural``, and "every Sc, every cS completely regular" agree.
     On every distinct table among those and their variants, the index,
     pseudoinverse and unit that ``epigroup_data`` reads off powers equal
-    the ones read off Green's relations (``_epigroup_oracle``)."""
+    the ones read off Green's relations (``_epigroup_oracle``), and
+    ``green``'s classes satisfy R o L = L o R, D = J, and "H_a holds an
+    idempotent" iff "a*a lies in H_a" (``_green_disagreements``)."""
     problems = []
     for order in (1, 2, 3):
         brute = _brute_force_canonical_forms(order)
@@ -413,6 +442,7 @@ def check_oracles():
             base = model.base
             if base not in seen:
                 seen.add(base)
+                problems.extend(_green_disagreements(base))
                 if epigroup_data(base) != _epigroup_oracle(base):
                     problems.append(
                         f"epigroup_data and Green's relations disagree at order {base.order}"

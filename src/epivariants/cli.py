@@ -171,7 +171,7 @@ def cmd_variety(args, argv):
     for name in tests:
         if name == "W":
             report = in_W(model)
-        elif name[0] in "EV" and name[1:].isdigit():
+        elif name[0] in "EV" and name[1:].isdecimal() and int(name[1:]) >= 1:
             fn = in_E if name[0] == "E" else in_V
             report = fn(model, int(name[1:]))
         else:
@@ -246,9 +246,10 @@ def _read_identities(path):
     identities = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
-            if line.strip() and not line.startswith("#"):
+            line = line.strip()
+            if line and not line.startswith("#"):
                 try:
-                    identities.append(parse_identity(line.strip()))
+                    identities.append(parse_identity(line))
                 except IdentityParseError as exc:
                     raise IdentityParseError(f"{path}, line {lineno}: {exc}") from None
     return tuple(identities)

@@ -3,11 +3,12 @@
 R and L are computed directly from the principal ideals aS^1 and S^1a, H as
 the intersection of R and L.  The two-sided ideal S^1aS^1 = {x(ay)} behind J
 is the union of the left ideals S^1v over v in aS^1, which is the same set on
-any finite magma.  D is the relational composition R o L: a D b iff some
-element lies in both R_a and L_b, read off the set of (R-class, L-class)
-pairs that occur.  L o R is read off the same set and must agree.  For
-finite semigroups D = J; both are computed independently and compared, so a
-disagreement signals a corrupted table rather than a mathematical surprise.
+any finite magma.  The input is taken to be a semigroup, and two theorems
+for finite semigroups give the rest: D = J, and an H-class is a group iff it
+holds an idempotent.  That R o L = L o R, that D = J, and that the group
+H-classes are the ones closed under squaring are checked on every table of
+order at most 4 and its variants by ``verify-paper``'s
+``oracle-equivalences`` check, not here.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import TABLE_CACHE_SIZE, adjoin_identity
-
-
-class GreenError(Exception):
-    """Internal consistency failure while computing Green's relations."""
 
 
 @dataclass(frozen=True)
@@ -67,44 +64,21 @@ def green(t):
     h_class = _classes_by_key(list(zip(r_class, l_class)))
     j_class = _classes_by_key(two)
 
-    # a (R o L) b iff some z has R_z = R_a and L_z = L_b, i.e. the pair of
-    # classes (R_a, L_b) is occupied; a (L o R) b iff (R_b, L_a) is.  Check
-    # that the two agree and that D = J; D's classes are then J's.
-    pairs = set(zip(r_class, l_class))
-    for a in range(n):
-        for b in range(n):
-            rol = (r_class[a], l_class[b]) in pairs
-            if ((r_class[b], l_class[a]) in pairs) != rol:
-                raise GreenError(f"R o L != L o R at ({a},{b})")
-            if rol != (j_class[a] == j_class[b]):
-                raise GreenError(f"D != J at ({a},{b})")
-    d_class = j_class
-
     idem = idempotents(t)
-    idem_h = {h_class[e] for e in idem}
-    groups = set()
-    for a in range(n):
-        has_idem = h_class[a] in idem_h
-        square_in = h_class[t.table[a][a]] == h_class[a]
-        if has_idem != square_in:
-            raise GreenError(f"group H-class criteria disagree at element {a}")
-        if has_idem:
-            groups.add(h_class[a])
-
     return GreenStructure(
         r_class=r_class,
         l_class=l_class,
         h_class=h_class,
-        d_class=d_class,
+        d_class=j_class,
         j_class=j_class,
         idempotents=idem,
-        group_h_classes=frozenset(groups),
+        group_h_classes=frozenset(h_class[e] for e in idem),
     )
 
 
-def is_group_h_class(g, t, a):
+def is_group_h_class(g, a):
     """True iff H_a contains an idempotent, equivalently a*a lies in H_a.
 
-    Both criteria were computed and compared in :func:`green`.
+    ``check_oracles`` compares the two criteria.
     """
     return g.h_class[a] in g.group_h_classes

@@ -5,6 +5,8 @@ line so the run log doubles as a checklist (use ``pytest -s`` to see the
 lines as they happen).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from epivariants import checks
@@ -41,6 +43,11 @@ def test_oracle_check_searches_every_pair(monkeypatch):
     assert [calls.count(n) for n in (1, 2, 3, 4)] == [1, 15, 300, 17766]
 
 
+def _merge_j_classes_0_and_1(t, green=checks.green):
+    g = green(t)
+    return replace(g, j_class=tuple(0 if c == 1 else c for c in g.j_class))
+
+
 @pytest.mark.parametrize(
     "name, patched, messages",
     [
@@ -61,6 +68,7 @@ def test_oracle_check_searches_every_pair(monkeypatch):
             lambda t: EpigroupData((1,) * t.order, tuple(range(t.order)), tuple(range(t.order))),
             ["epigroup_data and Green's relations disagree at order 2"],
         ),
+        ("green", _merge_j_classes_0_and_1, ["D != J at"]),
     ],
 )
 def test_oracle_check_reports_each_variety_disagreement(monkeypatch, name, patched, messages):

@@ -107,6 +107,10 @@ def test_variety_adhoc_identity(corpus_file, capsys):
 
 def test_variety_unknown_name(corpus_file, capsys):
     assert main(["variety", corpus_file("z3.sgp"), "--test", "Q7"]) == 2
+    # the varieties E_n and V_n start at n = 1
+    for name in ("E0", "V0"):
+        assert main(["variety", corpus_file("z3.sgp"), "--test", name]) == 2
+        assert capsys.readouterr().err.endswith(f"error: unknown variety {name!r}\n")
 
 
 def test_variant_round_trip(corpus_file, capsys):
@@ -159,7 +163,7 @@ def test_enumerate_out_manifest(tmp_path, capsys):
 
 def test_enumerate_identities_file(tmp_path, capsys):
     path = tmp_path / "idents.txt"
-    path.write_text("# commutativity\nx*y = y*x\n")
+    path.write_text("# commutativity\n  # an indented comment\nx*y = y*x\n")
     code = main(["enumerate", "--order", "2", "--identities", str(path), "--count-only"])
     assert code == 0
     assert capsys.readouterr().out.strip() == "3"

@@ -9,6 +9,7 @@ from epivariants.core import (
     CayleyTable,
     UnarySemigroup,
     _lex_leader,
+    anti_canonical_form,
     canonical_form,
     validate,
 )
@@ -20,7 +21,7 @@ from epivariants.search import (
     resolve_filter,
     semigroup_tables,
 )
-from epivariants.varieties import parse_identity
+from epivariants.varieties import find_counterexample, parse_identity
 
 # counts of semigroups up to isomorphism: 1, 5, 24, 188, 1915, 28634
 KNOWN_COUNTS = {1: 1, 2: 5, 3: 24, 4: 188}
@@ -211,6 +212,37 @@ def test_free_unary_mode():
     for m in result2.models:
         for x in range(2):
             assert m.unary[m.unary[x]] == x
+
+
+def _model_specs():
+    x_twice = (parse_identity("x'' = x"),)
+    for order in (1, 2, 3, 4):
+        for merge in (False, True):
+            yield SearchSpec(order=order, canonical_unary=False, merge_anti_isomorphic=merge)
+            yield SearchSpec(order=order, merge_anti_isomorphic=merge)
+        if order <= 2:
+            yield SearchSpec(order=order, identities=x_twice, free_unary=True)
+
+
+def test_enumerated_models_are_valid_distinct_and_sorted():
+    # what enumerate_models emits, in every mode: semigroups satisfying the
+    # spec's identities, one per class, ascending by canonical form
+    for spec in _model_specs():
+        models = enumerate_models(spec).models
+        for model in models:
+            validate(model.base if isinstance(model, UnarySemigroup) else model)
+            for ident in spec.identities:
+                assert find_counterexample(model, ident) is None
+        forms = [canonical_form(m) for m in models]
+        assert len(set(forms)) == len(forms)
+        assert forms == sorted(forms)
+        if spec.merge_anti_isomorphic:
+            # each class is represented by the smaller of its two forms
+            assert forms == [anti_canonical_form(m) for m in models]
+            assert len(models) == KNOWN_ANTI_COUNTS[spec.order]
+            assert len(models) == count_semigroups(spec.order, merge_anti=True)
+        elif not spec.free_unary:
+            assert len(models) == KNOWN_COUNTS[spec.order]
 
 
 def test_cross_search_cap():
