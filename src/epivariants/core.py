@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, permutations
+from itertools import chain, islice, permutations
 from math import factorial
 from operator import itemgetter
 
@@ -264,20 +264,23 @@ def _powers(table, a):
 
 
 def _element_signatures(table, unary):
-    """Relabeling-invariant per-element fingerprints, used to prune the
-    isomorphism search."""
-    n = len(table)
-    total = Counter(v for row in table for v in row)
+    """Relabeling-invariant per-element fingerprints: the isomorphism
+    search maps an element only onto one with the same signature.  They
+    prune, but they do not choose: the search returns the same phi for any
+    invariant fingerprints, only sooner when they separate more elements.
+    The last two fields of a plain table's signature are the index and the
+    period."""
+    total = Counter(chain.from_iterable(table))
     sigs = []
-    for a, row, col in zip(range(n), table, zip(*table)):
+    for a, row, col in zip(range(len(table)), table, zip(*table)):
         powers, index = _powers(table, a)
         sig = (
             row[a] == a,                              # idempotent
             total[a],                                 # occurrences in the table
             row.count(a),
             col.count(a),
-            tuple(sorted(Counter(row).values())),
-            tuple(sorted(Counter(col).values())),
+            len(set(row)),                            # |aS|
+            len(set(col)),                            # |Sa|
             index,
             len(powers) + 1 - index,                  # period
         )
@@ -296,7 +299,9 @@ def _invariants(table, unary):
 
 def find_isomorphism(s, t):
     """A bijection phi with phi(ab) = phi(a)phi(b) (and phi(a') = phi(a)' in
-    the unary case), or None.  Backtracking with invariant-based pruning."""
+    the unary case), or None.  phi is the lexicographically least
+    isomorphism: the first in ``itertools.permutations`` order.  Found by
+    backtracking with forward checking (see ``_isomorphism_search``)."""
     t1, u1 = _unpack(s)
     t2, u2 = _unpack(t)
     if (u1 is None) != (u2 is None):
@@ -308,70 +313,82 @@ def find_isomorphism(s, t):
 
 def _isomorphism_search(t1, u1, inv1, t2, u2, inv2):
     """find_isomorphism on tables of one order and kind whose
-    ``_invariants`` are already computed; the first phi in backtracking
-    order."""
+    ``_invariants`` are already computed.
+
+    Elements are assigned in the order 0..n-1, each to its candidates in
+    increasing order.  Once k is assigned, every product x*y with x, y <= k
+    and every unary image x' with x <= k has a known image.  If its value z
+    is assigned too, phi(z) is checked; if not, z > k and its image is
+    forced: z may only go to that element, which is then reserved for it.
+    A forced image that conflicts with an earlier one, is already used or
+    reserved, or has another signature rejects the assignment.  Each
+    constraint is checked or forced when the larger of its arguments is
+    assigned, so a complete assignment is an isomorphism.  Every branch that
+    is cut holds no isomorphism, and the invariants hold for all of them, so
+    the search returns the lexicographically least isomorphism whatever the
+    signatures are."""
     n = len(t1)
     (sig1, multiset1), (sig2, multiset2) = inv1, inv2
     if multiset1 != multiset2:
         return None
-    candidates = [[b for b in range(n) if sig2[b] == sig1[a]] for a in range(n)]
-    phi = [-1] * n
-    used = [False] * n
-    # Elements are assigned in the order 0..n-1, so when k is assigned the
-    # constraints among 0..k-1 already hold.  The new ones involve k as a
-    # factor, as a unary argument, or as the value of a product or unary
-    # image of earlier elements; the latter are indexed by k up front.
-    products_onto = [[] for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            z = t1[x][y]
-            if x < z and y < z:
-                products_onto[z].append((x, y))
-    unary_onto = [[] for _ in range(n)]
-    if u1 is not None:
-        for x in range(n):
-            if x < u1[x]:
-                unary_onto[u1[x]].append(x)
+    members = {}            # the elements of t2 with each signature, increasing
+    for b, sig in enumerate(sig2):
+        members.setdefault(sig, []).append(b)
+    image = [-1] * n        # phi of assigned elements, the forced image of others
+    taken = [False] * n     # used by an assigned element or reserved by forcing
+    forced = []             # the trail: elements whose image was forced, in order
 
     def consistent(k):
-        pk = phi[k]
-        row1 = t1[k]
-        row2 = t2[pk]
-        for y in range(k + 1):
-            z = row1[y]
-            if z <= k and row2[phi[y]] != phi[z]:
-                return False
-            z = t1[y][k]
-            if z <= k and t2[phi[y]][pk] != phi[z]:
-                return False
-        for x, y in products_onto[k]:
-            if t2[phi[x]][phi[y]] != pk:
-                return False
+        # zs: the values of k*y, then y*k for y <= k, then k'; ws: what
+        # phi must map each onto
+        b = image[k]
+        known = image[:k + 1]
+        row2 = t2[b]
+        zs = list(t1[k][:k + 1])
+        zs += [row[k] for row in t1[:k + 1]]
+        ws = [row2[p] for p in known]
+        ws += [t2[p][b] for p in known]
         if u1 is not None:
-            z = u1[k]
-            if z <= k and u2[pk] != phi[z]:
-                return False
-            for x in unary_onto[k]:
-                if u2[phi[x]] != pk:
+            zs.append(u1[k])
+            ws.append(u2[b])
+        for z, w in zip(zs, ws):
+            if image[z] != w:
+                if image[z] >= 0 or taken[w] or sig2[w] != sig1[z]:
                     return False
+                image[z] = w
+                taken[w] = True
+                forced.append(z)
         return True
+
+    def undo(mark):
+        while len(forced) > mark:
+            z = forced.pop()
+            taken[image[z]] = False
+            image[z] = -1
 
     def extend(a):
         if a == n:
             return True
-        for b in candidates[a]:
-            if used[b]:
-                continue
-            phi[a] = b
-            used[b] = True
+        mark = len(forced)
+        if image[a] >= 0:
             if consistent(a) and extend(a + 1):
                 return True
-            used[b] = False
-        phi[a] = -1
+            undo(mark)
+            return False
+        for b in members[sig1[a]]:
+            if taken[b]:
+                continue
+            image[a] = b
+            taken[b] = True
+            if consistent(a) and extend(a + 1):
+                return True
+            undo(mark)
+            taken[b] = False
+        image[a] = -1
         return False
 
     if extend(0):
-        return tuple(phi)
+        return tuple(image)
     return None
 
 

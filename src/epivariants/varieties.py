@@ -81,6 +81,18 @@ class Identity:
     lhs: tuple
     rhs: tuple
 
+    def __post_init__(self):
+        # the term trees are hashed once, not on each lookup in _compiled's
+        # cache; equality still compares them
+        object.__setattr__(self, "_hash", hash((self.lhs, self.rhs)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt when unpickled, so the hash is the receiving process's
+        return Identity, (self.lhs, self.rhs)
+
     @property
     def text(self):
         return f"{term_text(self.lhs)} = {term_text(self.rhs)}"

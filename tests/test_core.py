@@ -414,6 +414,140 @@ def test_find_isomorphism_checks_products_with_new_right_factor():
     assert find_isomorphism(a, b) == first_isomorphism(a, b) == (0, 2, 3, 1)
 
 
+def test_find_isomorphism_forces_product_above_its_factors():
+    # b is a with 0*0 = 2 and 0*1 = 3 swapped: both values lie above their
+    # factors, the identity preserves every other product and every element
+    # signature, so only forcing the images of 2 and 3 rejects it
+    a = CayleyTable([[2, 3, 3, 3], [0, 3, 0, 2], [1, 1, 0, 1], [1, 2, 2, 0]])
+    b = CayleyTable([[3, 2, 3, 3], [0, 3, 0, 2], [1, 1, 0, 1], [1, 2, 2, 0]])
+    assert sorted(_element_signatures(a.table, None)) == sorted(_element_signatures(b.table, None))
+    assert find_isomorphism(a, b) is first_isomorphism(a, b) is None
+
+
+def test_find_isomorphism_forces_unary_image_above_its_argument():
+    # on the null semigroup, (0, 1, 2, 3) preserves every product and the
+    # unary images 1' = 0 and 3' = 0, and breaks 0' = 1 and 2' = 3, whose
+    # values lie above their arguments: only forcing them rejects it
+    s = UnarySemigroup(CayleyTable([[0] * 4] * 4), (1, 0, 3, 0))
+    t = UnarySemigroup(CayleyTable([[0] * 4] * 4), (3, 0, 1, 0))
+    assert find_isomorphism(s, t) == first_isomorphism(s, t) == (0, 3, 2, 1)
+
+
+def _full_signatures(table, unary):
+    # the signatures the search used before forward checking: besides the
+    # index and period, each row's and column's sorted value multiplicities
+    total = Counter(v for row in table for v in row)
+    sigs = []
+    for a, row, col in zip(range(len(table)), table, zip(*table)):
+        powers = [a]
+        x = table[a][a]
+        while x not in powers:
+            powers.append(x)
+            x = table[x][a]
+        index = powers.index(x) + 1
+        sig = (row[a] == a, total[a], row.count(a), col.count(a),
+               tuple(sorted(Counter(row).values())), tuple(sorted(Counter(col).values())),
+               index, len(powers) + 1 - index)
+        if unary is not None:
+            sig += (unary[a] == a, unary.count(a))
+        sigs.append(sig)
+    return sigs
+
+
+def plain_backtracking_isomorphism(s, t):
+    # oracle: the search before forward checking, with no forced images.
+    # Elements are assigned in the order 0..n-1 to signature-compatible
+    # candidates in increasing order; a product or unary image is checked
+    # when the last of its arguments and its value is assigned
+    t1, u1 = _parts(s)
+    t2, u2 = _parts(t)
+    n = len(t1)
+    sig1, sig2 = _full_signatures(t1, u1), _full_signatures(t2, u2)
+    if sorted(sig1) != sorted(sig2):
+        return None
+    candidates = [[b for b in range(n) if sig2[b] == sig1[a]] for a in range(n)]
+    phi = [-1] * n
+    used = [False] * n
+    products_onto = [[] for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            z = t1[x][y]
+            if x < z and y < z:
+                products_onto[z].append((x, y))
+    unary_onto = [[] for _ in range(n)]
+    if u1 is not None:
+        for x in range(n):
+            if x < u1[x]:
+                unary_onto[u1[x]].append(x)
+
+    def consistent(k):
+        pk = phi[k]
+        for y in range(k + 1):
+            z = t1[k][y]
+            if z <= k and t2[pk][phi[y]] != phi[z]:
+                return False
+            z = t1[y][k]
+            if z <= k and t2[phi[y]][pk] != phi[z]:
+                return False
+        if any(t2[phi[x]][phi[y]] != pk for x, y in products_onto[k]):
+            return False
+        if u1 is not None:
+            z = u1[k]
+            if z <= k and u2[pk] != phi[z]:
+                return False
+            if any(u2[phi[x]] != pk for x in unary_onto[k]):
+                return False
+        return True
+
+    def extend(a):
+        if a == n:
+            return True
+        for b in candidates[a]:
+            if not used[b]:
+                phi[a] = b
+                used[b] = True
+                if consistent(a) and extend(a + 1):
+                    return True
+                used[b] = False
+        return False
+
+    return tuple(phi) if extend(0) else None
+
+
+def _seeded_closures(rng, count):
+    # transformation semigroups of order 7..24 on two random generators
+    closures = []
+    while len(closures) < count:
+        degree = rng.choice((3, 4))
+        gens = [Transformation(degree, tuple(rng.randrange(degree) for _ in range(degree)))
+                for _ in range(2)]
+        try:
+            t, _ = generate_from_transformations(gens, cap=24)
+        except CapExceeded:
+            continue
+        if t.order >= 7:
+            closures.append(t)
+    return closures
+
+
+def test_find_isomorphism_matches_plain_backtracking():
+    rng = random.Random(13)
+    order_5 = list(_relabelled_order_5_models(300))  # plain and unary in turn
+    pairs = []
+    for i, m in enumerate(order_5):
+        pairs.append((m, relabel(m, rng.sample(range(5), 5))))
+        pairs.append((m, order_5[(i + 2) % len(order_5)]))  # same kind, another class
+    for t in _seeded_closures(rng, 40):
+        pairs.append((t, relabel(t, rng.sample(range(t.order), t.order))))
+    s4, _ = generate_from_transformations([Transformation(4, (1, 0, 2, 3)), Transformation(4, (1, 2, 3, 0))])
+    for _ in range(200):
+        pairs.append((relabel(s4, rng.sample(range(24), 24)), relabel(s4, rng.sample(range(24), 24))))
+    assert sum(plain_backtracking_isomorphism(a, b) is None for a, b in pairs) > 100
+    assert {a.order for a, _ in pairs} >= {5, 7, 24}
+    for a, b in pairs:
+        assert find_isomorphism(a, b) == plain_backtracking_isomorphism(a, b)
+
+
 def test_relabel_preserves_validity():
     for p in permutations(range(4)):
         validate(relabel(W_WITNESS, p))

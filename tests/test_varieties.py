@@ -1,3 +1,4 @@
+import pickle
 from itertools import product
 
 import pytest
@@ -240,6 +241,18 @@ def test_kernel_cached_by_value():
         find_counterexample(s, parse_identity("x*x' = x'*x"))
     info = varieties._compiled.cache_info()
     assert (info.misses, info.hits) == (2, 4)
+
+
+def test_equal_identities_hash_equal_and_share_a_kernel():
+    built = e_identity(2)
+    parsed = parse_identity("x^3*x' = x^2")
+    copied = pickle.loads(pickle.dumps(built))
+    assert parsed is not built and copied is not built
+    assert parsed == built == copied
+    assert hash(parsed) == hash(built) == hash(copied) == hash((built.lhs, built.rhs))
+    assert {built: 1}[parsed] == 1
+    assert parsed != e_identity(1) and hash(parsed) != hash(e_identity(1))
+    assert varieties._compiled(parsed) is varieties._compiled(built) is varieties._compiled(copied)
 
 
 def test_kernel_deep_term_falls_back_to_eval_term():
