@@ -310,12 +310,19 @@ def _epigroup_oracle(t):
 
 def _green_disagreements(t):
     """The failures, on t, of three equivalences that hold on every finite
-    semigroup, read off ``green``'s classes: R o L = L o R, D = J with D
-    taken as R o L, and "H_a holds an idempotent" iff "a*a lies in H_a".
-    Each reports its first failure only."""
+    semigroup, read off ``green``'s classes: R o L = L o R; D = J, with D
+    taken as R o L and checked against both ``green``'s J and the J of the
+    two-sided ideals S^1aS^1, which ``green`` does not compute; and "H_a
+    holds an idempotent" iff "a*a lies in H_a".  Each reports its first
+    failure only."""
     g = green(t)
     n = t.order
+    tab = t.table
     r, l, h, j = g.r_class, g.l_class, g.h_class, g.j_class
+    # S^1aS^1 = {x(ay)} is the union of the left ideals S^1v over v in aS^1
+    right = [set(row) | {a} for a, row in enumerate(tab)]
+    left = [set(col) | {a} for a, col in enumerate(zip(*tab))]
+    two = [set().union(*(left[v] for v in right[a])) for a in range(n)]
     # a (R o L) b iff the pair of classes (R_a, L_b) is occupied; a (L o R) b
     # iff (R_b, L_a) is
     pairs = set(zip(r, l))
@@ -325,11 +332,12 @@ def _green_disagreements(t):
             problems.append(f"R o L != L o R at ({a},{b})")
             break
     for a, b in iproduct(range(n), repeat=2):
-        if ((r[a], l[b]) in pairs) != (j[a] == j[b]):
+        d = (r[a], l[b]) in pairs
+        if d != (j[a] == j[b]) or d != (two[a] == two[b]):
             problems.append(f"D != J at ({a},{b})")
             break
     for a in range(n):
-        if (h[a] in g.group_h_classes) != (h[t.table[a][a]] == h[a]):
+        if (h[a] in g.group_h_classes) != (h[tab[a][a]] == h[a]):
             problems.append(f"group H-class criteria disagree at element {a}")
             break
     return problems
@@ -386,8 +394,9 @@ def check_oracles():
     On every distinct table among those and their variants, the index,
     pseudoinverse and unit that ``epigroup_data`` reads off powers equal
     the ones read off Green's relations (``_epigroup_oracle``), and
-    ``green``'s classes satisfy R o L = L o R, D = J, and "H_a holds an
-    idempotent" iff "a*a lies in H_a" (``_green_disagreements``)."""
+    ``green``'s classes satisfy R o L = L o R, D = J (R o L against both
+    ``green``'s J and the J of the two-sided ideals S^1aS^1), and "H_a
+    holds an idempotent" iff "a*a lies in H_a" (``_green_disagreements``)."""
     problems = []
     for order in (1, 2, 3):
         brute = _brute_force_canonical_forms(order)

@@ -1,14 +1,18 @@
 """Primary conjugacy: a ~ b iff a = xy and b = yx for some x, y in S^1.
 
 The relation is reflexive and symmetric but not transitive in general; its
-transitive closure partitions S into conjugacy classes.
+transitive closure partitions S into conjugacy classes.  S^1 is never built:
+taking x or y to be the adjoined identity gives only the pairs (a, a), so
+the relation is the diagonal plus the pairs (xy, yx) read off row x and
+column x of the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
-from .core import SemigroupError, adjoin_identity
+from .core import SemigroupError
 
 
 class RelationNotSymmetric(SemigroupError):
@@ -21,7 +25,7 @@ class BinaryRelation:
     bits: tuple  # n x n boolean matrix
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(tuple(bool(v) for v in row) for row in self.bits))
+        object.__setattr__(self, "bits", tuple(tuple(map(bool, row)) for row in self.bits))
 
     def holds(self, a, b):
         return self.bits[a][b]
@@ -36,23 +40,27 @@ class ConjugacyReport:
 
 
 def primary_conjugacy(t):
-    """The primary conjugacy relation on S, with x and y ranging over S^1."""
+    """The primary conjugacy relation on S, with x and y ranging over S^1.
+
+    x = 1 or y = 1 gives a = xy = yx = b, so the adjoined identity adds
+    exactly the diagonal, whether or not S is already a monoid.  The rest
+    are the pairs (xy, yx) over x, y in S: row x of the table against
+    column x.  Swapping x and y swaps the pair, so the relation is
+    symmetric by construction."""
     n = t.order
-    s1 = adjoin_identity(t).table
-    m = len(s1)
+    tab = t.table
     bits = [[False] * n for _ in range(n)]
-    for x in range(m):
-        row = s1[x]
-        for y in range(m):
-            a = row[y]
-            b = s1[y][x]
-            if a < n and b < n:
-                bits[a][b] = True
-                bits[b][a] = True
+    for a in range(n):
+        bits[a][a] = True
+    for row, col in zip(tab, zip(*tab)):
+        for a, b in zip(row, col):
+            bits[a][b] = True
     return BinaryRelation(n, bits)
 
 
 def _require_symmetric(r):
+    if list(r.bits) == list(zip(*r.bits)):
+        return
     for a in range(r.order):
         for b in range(r.order):
             if r.bits[a][b] != r.bits[b][a]:
@@ -75,8 +83,8 @@ def transitive_closure(r):
         while queue:
             a = queue.pop()
             component.append(a)
-            for b in range(n):
-                if r.bits[a][b] and not seen[b]:
+            for b in compress(range(n), r.bits[a]):
+                if not seen[b]:
                     seen[b] = True
                     queue.append(b)
         classes.append(tuple(sorted(component)))
@@ -89,19 +97,16 @@ def check_transitivity(t):
     the transitive closure."""
     rel = primary_conjugacy(t)
     n = t.order
+    related = [set(compress(range(n), row)) for row in rel.bits]
     witness = None
-    for a in range(n):
+    for a, mine in enumerate(related):
+        for b in sorted(mine):
+            missing = related[b] - mine
+            if missing:
+                witness = (a, b, min(missing))
+                break
         if witness:
             break
-        for b in range(n):
-            if witness:
-                break
-            if not rel.bits[a][b]:
-                continue
-            for c in range(n):
-                if rel.bits[b][c] and not rel.bits[a][c]:
-                    witness = (a, b, c)
-                    break
     return ConjugacyReport(
         relation=rel,
         transitive=witness is None,

@@ -53,7 +53,7 @@ class CayleyTable:
     table: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple(tuple(row) for row in self.table))
+        object.__setattr__(self, "table", tuple(map(tuple, self.table)))
 
     @property
     def order(self):

@@ -1,14 +1,17 @@
 """Green's relations and group H-class detection.
 
-R and L are computed directly from the principal ideals aS^1 and S^1a, H as
-the intersection of R and L.  The two-sided ideal S^1aS^1 = {x(ay)} behind J
-is the union of the left ideals S^1v over v in aS^1, which is the same set on
-any finite magma.  The input is taken to be a semigroup, and two theorems
-for finite semigroups give the rest: D = J, and an H-class is a group iff it
-holds an idempotent.  That R o L = L o R, that D = J, and that the group
-H-classes are the ones closed under squaring are checked on every table of
-order at most 4 and its variants by ``verify-paper``'s
-``oracle-equivalences`` check, not here.
+R and L are computed directly from the principal ideals aS^1 and S^1a, read
+off row a and column a of the table with a itself added for the adjoined
+identity; H is the intersection of R and L.  The input is taken to be a
+semigroup, and two theorems for finite semigroups give the rest: D = J, and
+an H-class is a group iff it holds an idempotent.  D is taken as R o L: the
+R-classes of one D-class each meet all of its L-classes, so a D b iff R_a
+and R_b meet the same L-classes.  No two-sided ideal S^1aS^1 is computed
+here.  That R o L = L o R, that R o L equals the J read off the two-sided
+ideals, and that the group H-classes are the ones closed under squaring are
+checked on every table of order at most 4 and its variants by
+``verify-paper``'s ``oracle-equivalences`` check
+(``checks._green_disagreements``), not here.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import TABLE_CACHE_SIZE, adjoin_identity
+from .core import TABLE_CACHE_SIZE
 
 
 @dataclass(frozen=True)
@@ -51,18 +54,18 @@ def idempotents(t):
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def green(t):
-    n = t.order
-    s1 = adjoin_identity(t).table
-
-    right = [frozenset(s1[a]) | {a} for a in range(n)]
-    left = [frozenset(row[a] for row in s1) | {a} for a in range(n)]
-    # S^1aS^1 = {x(ay)} is the union of the left ideals S^1v over v in aS^1
-    two = [frozenset().union(*(left[v] for v in right[a])) for a in range(n)]
+    tab = t.table
+    right = [frozenset(row) | {a} for a, row in enumerate(tab)]
+    left = [frozenset(col) | {a} for a, col in enumerate(zip(*tab))]
 
     r_class = _classes_by_key(right)
     l_class = _classes_by_key(left)
     h_class = _classes_by_key(list(zip(r_class, l_class)))
-    j_class = _classes_by_key(two)
+    # D = R o L: a D b iff R_a and R_b meet the same L-classes
+    meets = {}
+    for rc, lc in zip(r_class, l_class):
+        meets.setdefault(rc, set()).add(lc)
+    j_class = _classes_by_key([frozenset(meets[rc]) for rc in r_class])
 
     idem = idempotents(t)
     return GreenStructure(

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -5,12 +6,20 @@ import pytest
 from epivariants import checks
 from epivariants.conjugacy import (
     BinaryRelation,
+    RelationNotSymmetric,
     check_transitivity,
     conjugacy_classes,
     primary_conjugacy,
     transitive_closure,
 )
-from epivariants.core import CayleyTable, adjoin_identity, relabel
+from epivariants.core import (
+    CapExceeded,
+    CayleyTable,
+    Transformation,
+    adjoin_identity,
+    generate_from_transformations,
+    relabel,
+)
 from epivariants.corpus import corpus_names, load_corpus
 from epivariants.search import semigroup_tables
 from epivariants.variants import variant
@@ -118,11 +127,80 @@ def test_transitive_closure_partition():
 
 
 def test_closure_rejects_asymmetric_input():
-    from epivariants.conjugacy import RelationNotSymmetric
-
     r = BinaryRelation(2, ((True, True), (False, True)))
     with pytest.raises(RelationNotSymmetric):
         transitive_closure(r)
+
+
+def test_closure_names_the_first_asymmetric_pair():
+    # (0,2) and (1,2) hold without their mirrors; the message names (0,2)
+    r = BinaryRelation(3, ((1, 0, 1), (0, 1, 1), (0, 0, 1)))
+    with pytest.raises(RelationNotSymmetric, match=r"asymmetric at \(0,2\)$"):
+        transitive_closure(r)
+
+
+def _brute_force_witness(pairs, n):
+    # oracle: the lexicographically least (a, b, c) with a~b, b~c, not a~c
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if (a, b) in pairs and (b, c) in pairs and (a, c) not in pairs:
+                    return (a, b, c)
+    return None
+
+
+def _union_find_classes(pairs, n):
+    # oracle: components of the relation by union-find, ordered by smallest member
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in sorted(pairs):
+        parent[find(a)] = find(b)
+    members = {}
+    for a in range(n):
+        members.setdefault(find(a), []).append(a)
+    return tuple(sorted(map(tuple, members.values())))
+
+
+def _transformation_closures(seed, count):
+    # seeded two-generator closures of degree 4 whose order lies in 7..24
+    rng = random.Random(seed)
+    while count:
+        gens = [Transformation(4, [rng.randrange(4) for _ in range(4)]) for _ in range(2)]
+        try:
+            t, _ = generate_from_transformations(gens, cap=24)
+        except CapExceeded:
+            continue
+        if t.order >= 7:
+            count -= 1
+            yield t
+
+
+def _brute_force_tables():
+    for order in (1, 2, 3, 4):
+        for t in semigroup_tables(order):
+            yield t
+            yield from (variant(t, c) for c in range(order))
+    yield from semigroup_tables(5)
+    yield from _transformation_closures(2019, 12)
+
+
+def test_witness_and_classes_match_brute_force():
+    nontransitive = set()
+    for t in _brute_force_tables():
+        pairs = relation_oracle(t)
+        report = check_transitivity(t)
+        assert report.witness == _brute_force_witness(pairs, t.order), t.table
+        assert report.transitive == (report.witness is None)
+        assert report.classes == _union_find_classes(pairs, t.order), t.table
+        if report.witness:
+            nontransitive.add(t.order)
+    # non-transitive tables occur at order 4, at order 5 and among the closures
+    assert {4, 5} <= nontransitive and max(nontransitive) >= 7
 
 
 def test_relation_iso_invariant():

@@ -120,15 +120,26 @@ def _oracle_tables():
         yield t
 
 
-def test_green_matches_oracle():
-    tables = list(_oracle_tables())
-    assert len(tables) == 218 + 835 + 2
-    assert tables[-2].order == 27 and tables[-1].order == 6
+def _assert_green_matches_oracle(tables):
     for t in tables:
         g = green(t)
         got = (g.r_class, g.l_class, g.h_class, g.d_class, g.j_class,
                g.idempotents, g.group_h_classes)
         assert got == green_oracle(t), t.table
+
+
+def test_green_matches_oracle():
+    tables = list(_oracle_tables())
+    assert len(tables) == 218 + 835 + 2
+    assert tables[-2].order == 27 and tables[-1].order == 6
+    _assert_green_matches_oracle(tables)
+
+
+def test_green_matches_oracle_at_order_5():
+    # green takes J = D = R o L; the oracle's J comes from the S^1 ideals
+    tables = semigroup_tables(5)
+    assert len(tables) == 1915
+    _assert_green_matches_oracle(tables)
 
 
 @pytest.mark.parametrize("rows, message", [

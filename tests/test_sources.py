@@ -28,6 +28,19 @@ def test_epigroup_does_not_import_green():
     assert not {name for name in imported if name.split(".")[-1] == "green"}, imported
 
 
+def test_only_core_calls_adjoin_identity():
+    # green and primary conjugacy read aS^1, S^1a and the pairs (xy, yx) off
+    # the table itself; S^1 is built only by core and by the tests' oracles
+    callers = set()
+    for path in sorted(Path(epivariants.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if callee == "adjoin_identity":
+                    callers.add(path.stem)
+    assert callers <= {"core"}, callers
+
+
 MARK = "_validated"  # the attribute validate sets on a table that passes
 SETTERS = ("setattr", "__setattr__", "delattr", "__delattr__")
 
