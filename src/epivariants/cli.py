@@ -27,14 +27,7 @@ from .epigroup import epigroup_data, pseudoinverse_map, verify_epigroup_identiti
 from .green import green
 from .search import SearchSpec, count_semigroups, enumerate_models
 from .variants import unary_variant, variant
-from .varieties import (
-    IdentityParseError,
-    find_counterexample,
-    in_E,
-    in_V,
-    in_W,
-    parse_identity,
-)
+from .varieties import IdentityParseError, find_counterexample, parse_identity, variety_test
 
 
 class ReportBuilder:
@@ -167,16 +160,14 @@ def cmd_variety(args, argv):
     model = _load(args.file)
     if not isinstance(model, UnarySemigroup):
         model = pseudoinverse_map(model)
-    tests = [name.strip() for name in (args.test or "").split(",") if name.strip()]
-    for name in tests:
-        if name == "W":
-            report = in_W(model)
-        elif name[0] in "EV" and name[1:].isdecimal() and int(name[1:]) >= 1:
-            fn = in_E if name[0] == "E" else in_V
-            report = fn(model, int(name[1:]))
-        else:
-            print(f"error: unknown variety {name!r}", file=sys.stderr)
-            return 2
+    names = [name.strip() for name in (args.test or "").split(",") if name.strip()]
+    try:
+        tests = [variety_test(name) for name in names]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    for name, test in zip(names, tests):
+        report = test(model)
         rb.add(
             name,
             "pass" if report.holds else "fail",
@@ -273,7 +264,8 @@ def cmd_enumerate(args, argv):
         canonical_unary=not args.plain,
     )
     try:
-        if args.count_only and not identities and not filters:
+        # the semigroup count is the model count unless unary maps are free
+        if args.count_only and not (identities or filters or args.free_unary):
             print(count_semigroups(args.order, merge_anti=args.merge_anti, jobs=args.jobs))
             return 0
         result = enumerate_models(spec, jobs=args.jobs)
@@ -357,8 +349,9 @@ def build_parser():
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--identities", help="file with one identity per line")
     p.add_argument("--filter", default="", help="e.g. completely_regular,V1,not:variant_of_CR")
-    p.add_argument("--free-unary", action="store_true", help="search unary maps instead of deriving them")
-    p.add_argument("--plain", action="store_true", help="emit plain tables without a unary map")
+    unary = p.add_mutually_exclusive_group()
+    unary.add_argument("--free-unary", action="store_true", help="search unary maps instead of deriving them")
+    unary.add_argument("--plain", action="store_true", help="emit plain tables without a unary map")
     p.add_argument("--merge-anti", action="store_true")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--out", help="write models one per file plus a manifest")

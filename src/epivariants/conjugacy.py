@@ -10,7 +10,7 @@ column x of the table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, product
 
 from .core import SemigroupError
 
@@ -39,39 +39,48 @@ class ConjugacyReport:
     classes: tuple
 
 
-def primary_conjugacy(t):
-    """The primary conjugacy relation on S, with x and y ranging over S^1.
+def _related(t):
+    """related[a]: the set of b with a ~ b.
 
     x = 1 or y = 1 gives a = xy = yx = b, so the adjoined identity adds
     exactly the diagonal, whether or not S is already a monoid.  The rest
     are the pairs (xy, yx) over x, y in S: row x of the table against
     column x.  Swapping x and y swaps the pair, so the relation is
     symmetric by construction."""
-    n = t.order
     tab = t.table
-    bits = [[False] * n for _ in range(n)]
-    for a in range(n):
-        bits[a][a] = True
+    related = [{a} for a in range(t.order)]
     for row, col in zip(tab, zip(*tab)):
         for a, b in zip(row, col):
-            bits[a][b] = True
-    return BinaryRelation(n, bits)
+            related[a].add(b)
+    return related
 
 
-def _require_symmetric(r):
-    if list(r.bits) == list(zip(*r.bits)):
-        return
-    for a in range(r.order):
-        for b in range(r.order):
-            if r.bits[a][b] != r.bits[b][a]:
-                raise RelationNotSymmetric(f"asymmetric at ({a},{b})")
+def _relation(related):
+    """The BinaryRelation with the given related sets.  Its rows are built
+    as tuples of bool, so ``__post_init__``'s pass through bool is skipped."""
+    n = len(related)
+    rows = []
+    for mine in related:
+        row = [False] * n
+        for b in mine:
+            row[b] = True
+        rows.append(tuple(row))
+    rel = object.__new__(BinaryRelation)
+    object.__setattr__(rel, "order", n)
+    object.__setattr__(rel, "bits", tuple(rows))
+    return rel
 
 
-def transitive_closure(r):
-    """Connected components of a reflexive symmetric relation, as a
-    partition ordered by smallest member."""
-    _require_symmetric(r)
-    n = r.order
+def primary_conjugacy(t):
+    """The primary conjugacy relation on S, with x and y ranging over S^1
+    (see ``_related``)."""
+    return _relation(_related(t))
+
+
+def _components(neighbours):
+    """Connected components of the graph with the given neighbours of each
+    element, as a partition ordered by smallest member."""
+    n = len(neighbours)
     seen = [False] * n
     classes = []
     for start in range(n):
@@ -83,7 +92,7 @@ def transitive_closure(r):
         while queue:
             a = queue.pop()
             component.append(a)
-            for b in compress(range(n), r.bits[a]):
+            for b in neighbours[a]:
                 if not seen[b]:
                     seen[b] = True
                     queue.append(b)
@@ -91,13 +100,20 @@ def transitive_closure(r):
     return tuple(classes)
 
 
+def transitive_closure(r):
+    """Connected components of a reflexive symmetric relation, as a
+    partition ordered by smallest member."""
+    for a, b in product(range(r.order), repeat=2):
+        if r.bits[a][b] != r.bits[b][a]:
+            raise RelationNotSymmetric(f"asymmetric at ({a},{b})")
+    return _components([compress(range(r.order), row) for row in r.bits])
+
+
 def check_transitivity(t):
     """Full report: the relation, a transitivity verdict, the
     lexicographically least witness triple on failure, and the classes of
-    the transitive closure."""
-    rel = primary_conjugacy(t)
-    n = t.order
-    related = [set(compress(range(n), row)) for row in rel.bits]
+    the transitive closure, all from one pass over the table."""
+    related = _related(t)
     witness = None
     for a, mine in enumerate(related):
         for b in sorted(mine):
@@ -108,13 +124,13 @@ def check_transitivity(t):
         if witness:
             break
     return ConjugacyReport(
-        relation=rel,
+        relation=_relation(related),
         transitive=witness is None,
         witness=witness,
-        classes=transitive_closure(rel),
+        classes=_components(related),
     )
 
 
 def conjugacy_classes(t):
     """Classes of the transitive closure of primary conjugacy."""
-    return transitive_closure(primary_conjugacy(t))
+    return _components(_related(t))

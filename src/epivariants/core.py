@@ -562,21 +562,6 @@ def canonical_form(s):
     return bytes([len(table)]) + bytes(_lex_leader(table, unary))
 
 
-def transpose(t):
-    """The opposite (anti-isomorphic) semigroup."""
-    n = t.order
-    return CayleyTable([[t.table[y][x] for y in range(n)] for x in range(n)])
-
-
-def anti_canonical_form(s):
-    """Canonical form merging anti-isomorphic pairs (plain tables only)."""
-    if isinstance(s, UnarySemigroup):
-        op = UnarySemigroup(transpose(s.base), s.unary, s.canonical)
-    else:
-        op = transpose(s)
-    return min(canonical_form(s), canonical_form(op))
-
-
 # ---------------------------------------------------------------------------
 # Text format: first line n >= 1, then n rows of n space-separated integers,
 # optionally a line "unary: i0 i1 ... i(n-1)", which must be the last line.

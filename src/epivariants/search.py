@@ -27,7 +27,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 
 from .core import (
     MAX_PLAIN_ORDER,
@@ -36,15 +36,12 @@ from .core import (
     SemigroupError,
     UnarySemigroup,
     _lex_leader,
-    anti_canonical_form,
-    canonical_form,
+    _unpack,
     find_isomorphism,
     validate,
 )
 from .epigroup import is_completely_regular, pseudoinverse_map
-from .varieties import find_counterexample, in_E, in_V, in_W, in_W_structural
-
-MAX_CROSS_SEARCH_ORDER = 4
+from .varieties import find_counterexample, in_W_structural, variety_test
 
 
 class ReproductionFailed(SemigroupError):
@@ -177,15 +174,10 @@ def semigroup_tables(order, jobs=1):
 def count_semigroups(order, merge_anti=False, jobs=1):
     """Number of semigroups of the given order up to isomorphism, or up to
     isomorphism plus anti-isomorphism."""
-    tables = semigroup_tables(order, jobs=jobs)
     if not merge_anti:
-        return len(tables)
-    # each representative is its own lex leader, so only its transpose is
-    # searched
-    forms = set()
-    for t in tables:
-        forms.add(min(tuple(v for row in t.table for v in row), _lex_leader(tuple(zip(*t.table)))))
-    return len(forms)
+        return len(semigroup_tables(order, jobs=jobs))
+    spec = SearchSpec(order, canonical_unary=False, merge_anti_isomorphic=True)
+    return len(enumerate_models(spec, jobs=jobs).models)
 
 
 @dataclass(frozen=True)
@@ -209,106 +201,100 @@ class SearchResult:
     provenance: dict
 
 
-def _needs_cross_search(filters):
-    return any(name.split(":")[-1] == "variant_of_CR" for name in filters)
+def _table_of(model):
+    return model.base if isinstance(model, UnarySemigroup) else model
+
+
+# the filters that need no unary map, so they also apply to plain tables
+_TABLE_FILTERS = {
+    "canonical_unary": lambda m: isinstance(m, UnarySemigroup) and m.canonical,
+    "completely_regular": lambda m: is_completely_regular(_table_of(m)),
+    "in_W_structural": lambda m: in_W_structural(_table_of(m)),
+}
 
 
 def resolve_filter(name):
-    """Named structural predicates, with a 'not:' prefix for negation."""
-    negate = False
-    base_name = name
-    if name.startswith("not:"):
-        negate = True
-        base_name = name[len("not:"):]
-
-    def table_of(model):
-        return model.base if isinstance(model, UnarySemigroup) else model
-
-    if base_name == "canonical_unary":
-        pred = lambda m: isinstance(m, UnarySemigroup) and m.canonical
-    elif base_name == "completely_regular":
-        pred = lambda m: is_completely_regular(table_of(m))
-    elif base_name == "in_W_structural":
-        pred = lambda m: in_W_structural(table_of(m))
-    elif base_name == "W":
-        pred = lambda m: in_W(m).holds
+    """Named structural predicates, with a 'not:' prefix for negation: the
+    ones in ``_TABLE_FILTERS``, ``variant_of_CR``, and the variety names of
+    ``varieties.variety_test``."""
+    base_name = name.removeprefix("not:")
+    if base_name in _TABLE_FILTERS:
+        pred = _TABLE_FILTERS[base_name]
     elif base_name == "variant_of_CR":
         from .variants import is_unary_variant_of_completely_regular
 
         pred = lambda m: is_unary_variant_of_completely_regular(m) is not None
-    elif len(base_name) >= 2 and base_name[0] in "EV" and base_name[1:].isdigit():
-        n = int(base_name[1:])
-        if base_name[0] == "E":
-            pred = lambda m, n=n: in_E(m, n).holds
-        else:
-            pred = lambda m, n=n: in_V(m, n).holds
     else:
-        raise ValueError(f"unknown filter {name!r}")
-    if negate:
+        try:
+            test = variety_test(base_name)
+        except ValueError:
+            raise ValueError(f"unknown filter {name!r}") from None
+        pred = lambda m: test(m).holds
+    if base_name != name:
         return lambda m: not pred(m)
     return pred
 
 
-def _model_passes(model, identities, predicates):
-    return all(find_counterexample(model, ident) is None for ident in identities) and all(
-        pred(model) for pred in predicates
-    )
+def _candidates(spec, tables):
+    """The models the spec's unary mode puts on each table: every unary
+    map, the pseudoinverse map, or none."""
+    if spec.free_unary:
+        for t in tables:
+            pinv = pseudoinverse_map(t).unary
+            for unary in iproduct(range(spec.order), repeat=spec.order):
+                yield UnarySemigroup(t, unary, canonical=(unary == pinv))
+    elif spec.canonical_unary:
+        yield from map(pseudoinverse_map, tables)
+    else:
+        yield from tables
 
 
 def enumerate_models(spec, jobs=1):
     """All models of a SearchSpec up to isomorphism (unary isomorphism when a
-    unary map is attached), sorted by canonical form."""
+    unary map is attached), sorted by canonical form.
+
+    Each model that passes gets one form, its canonical form without the
+    order byte.  A table from ``semigroup_tables`` is its own lex leader, and
+    so is its pseudoinverse map, which every automorphism preserves: their
+    form is their own serialization.  A free unary map is walked by
+    ``_lex_leader``.  The forms dedupe the free unary maps, key the
+    anti-isomorphism merge and sort the result."""
     started = time.perf_counter()
-    if _needs_cross_search(spec.structural_filters) and spec.order > MAX_CROSS_SEARCH_ORDER:
-        raise CapExceeded(
-            f"order {spec.order} exceeds the cross-search cap {MAX_CROSS_SEARCH_ORDER}"
-        )
     predicates = [resolve_filter(name) for name in spec.structural_filters]
-    tables = semigroup_tables(spec.order, jobs=jobs)
-
-    models = []
-    if spec.free_unary:
-        seen = set()
-        for t in tables:
-            pinv = pseudoinverse_map(t).unary
-            for unary in iproduct(range(spec.order), repeat=spec.order):
-                model = UnarySemigroup(t, unary, canonical=(unary == pinv))
-                if _model_passes(model, spec.identities, predicates):
-                    key = canonical_form(model)
-                    if key not in seen:
-                        seen.add(key)
-                        models.append(model)
-    elif spec.canonical_unary:
-        for t in tables:
-            model = pseudoinverse_map(t)
-            if _model_passes(model, spec.identities, predicates):
-                models.append(model)
-    else:
-        for t in tables:
-            if _model_passes_plain(t, spec.identities, predicates):
-                models.append(t)
-
+    if not (spec.free_unary or spec.canonical_unary):
+        unary_only = [ident.text for ident in spec.identities] + [
+            name for name in spec.structural_filters
+            if name.removeprefix("not:") not in _TABLE_FILTERS
+        ]
+        if unary_only:
+            raise ValueError(f"plain tables carry no unary map for {', '.join(unary_only)}")
+    found = {}
+    for model in _candidates(spec, semigroup_tables(spec.order, jobs=jobs)):
+        if all(find_counterexample(model, ident) is None for ident in spec.identities) and all(
+            pred(model) for pred in predicates
+        ):
+            table, unary = _unpack(model)
+            if spec.free_unary:
+                form = _lex_leader(table, unary)
+            else:
+                form = tuple(chain.from_iterable(table)) + (unary or ())
+            found.setdefault(form, model)
+    forms = sorted(found)
     if spec.merge_anti_isomorphic:
+        # of each anti-isomorphic pair of classes, the one of smaller form;
+        # the opposite's form is its transposed table's lex leader
         merged = {}
-        for model in models:
-            key = anti_canonical_form(model)
-            if key not in merged or canonical_form(model) < canonical_form(merged[key]):
-                merged[key] = model
-        models = list(merged.values())
-
-    models.sort(key=canonical_form)
+        for form in forms:
+            table, unary = _unpack(found[form])
+            merged.setdefault(min(form, _lex_leader(tuple(zip(*table)), unary)), form)
+        forms = merged.values()
+    models = tuple(found[form] for form in forms)
     elapsed = time.perf_counter() - started
     return SearchResult(
-        models=tuple(models),
+        models=models,
         counts_by_order={spec.order: len(models)},
         provenance={"spec": spec, "elapsed_seconds": elapsed},
     )
-
-
-def _model_passes_plain(t, identities, predicates):
-    if identities:
-        raise ValueError("identity constraints need a unary map; enable canonical_unary")
-    return all(pred(t) for pred in predicates)
 
 
 V1_CENSUS_REFERENCES = ("v1_nonvariant_a.sgp", "v1_nonvariant_b.sgp", "v1_nonvariant_c.sgp")

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import CayleyTable, UnarySemigroup, CapExceeded, canonical_form, find_isomorphism
+from .core import CayleyTable, UnarySemigroup, canonical_form, find_isomorphism
 from .epigroup import element_index, is_completely_regular, pseudoinverse_map
-from .search import MAX_CROSS_SEARCH_ORDER, semigroup_tables
+from .search import semigroup_tables
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def check_rho_homomorphism(t, c):
     return CheckReport("rho-homomorphism", True)
 
 
-@lru_cache(maxsize=MAX_CROSS_SEARCH_ORDER)
+@lru_cache(maxsize=None)
 def _cr_variant_index(n):
     """canonical_form -> (T, c, unary variant) over the completely regular
     semigroups T of order n, in ``semigroup_tables`` order, and every c in
@@ -125,13 +125,10 @@ def is_unary_variant_of_completely_regular(s):
     completely regular semigroups by canonical form, so each call is one
     lookup plus one isomorphism search on the hit.  The witness is the
     first (T, c) in ``semigroup_tables`` order, c before the adjoined
-    identity, that a linear scan would find.  Orders above
-    ``MAX_CROSS_SEARCH_ORDER`` raise CapExceeded.
+    identity, that a linear scan would find.  Orders above the enumeration
+    cap of ``semigroup_tables`` raise CapExceeded.
     """
-    n = s.order
-    if n > MAX_CROSS_SEARCH_ORDER:
-        raise CapExceeded(f"order {n} exceeds the cross-search cap {MAX_CROSS_SEARCH_ORDER}")
-    hit = _cr_variant_index(n).get(canonical_form(s))
+    hit = _cr_variant_index(s.order).get(canonical_form(s))
     if hit is None:
         return None
     t, c, cand = hit

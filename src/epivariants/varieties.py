@@ -9,7 +9,7 @@ single-letter variables, parentheses as usual.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product as iproduct
 
 
@@ -345,6 +345,17 @@ def in_W(s):
         s,
         [EQ_PINV_FIXED, EQ_COMMUTE, EQ_DOUBLE_PRIME, EQ_SQUARE_PRIME, EQ_PRODUCT_STABLE],
     )
+
+
+def variety_test(name):
+    """The membership test that a variety name denotes: ``W``, or ``E<n>``
+    or ``V<n>`` with n >= 1 in decimal digits.  Raises ValueError on any
+    other name, before any test runs."""
+    if name == "W":
+        return in_W
+    if name[:1] in ("E", "V") and name[1:].isdecimal() and int(name[1:]) >= 1:
+        return partial(in_E if name[0] == "E" else in_V, n=int(name[1:]))
+    raise ValueError(f"unknown variety {name!r}")
 
 
 def in_W_structural(t):

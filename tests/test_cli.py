@@ -106,11 +106,13 @@ def test_variety_adhoc_identity(corpus_file, capsys):
 
 
 def test_variety_unknown_name(corpus_file, capsys):
-    assert main(["variety", corpus_file("z3.sgp"), "--test", "Q7"]) == 2
-    # the varieties E_n and V_n start at n = 1
-    for name in ("E0", "V0"):
+    # the varieties E_n and V_n start at n = 1, written in decimal digits;
+    # enumerate rejects the same names before it enumerates anything
+    for name in ("Q7", "E0", "V0", "E²"):
         assert main(["variety", corpus_file("z3.sgp"), "--test", name]) == 2
         assert capsys.readouterr().err.endswith(f"error: unknown variety {name!r}\n")
+        assert main(["enumerate", "--order", "7", "--filter", name]) == 2
+        assert capsys.readouterr().err.endswith(f"error: unknown filter {name!r}\n")
 
 
 def test_variant_round_trip(corpus_file, capsys):
@@ -136,6 +138,26 @@ def test_enumerate_count_only(capsys):
     assert capsys.readouterr().out.strip() == "188"
     assert main(["enumerate", "--order", "3", "--count-only", "--merge-anti", "--plain"]) == 0
     assert capsys.readouterr().out.strip() == "18"
+
+
+def test_enumerate_free_unary_count_matches_listing(capsys):
+    # the count of models, not of the 5 semigroups they sit on
+    assert main(["enumerate", "--order", "2", "--free-unary", "--count-only"]) == 0
+    assert capsys.readouterr().out.strip() == "18"
+    assert main(["enumerate", "--order", "2", "--free-unary"]) == 0
+    assert capsys.readouterr().out.count("unary:") == 18
+
+
+def test_enumerate_plain_and_free_unary_exclude_each_other(capsys):
+    assert main(["enumerate", "--order", "2", "--plain", "--free-unary"]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["E1", "not:V2", "W", "variant_of_CR"])
+def test_enumerate_plain_rejects_unary_filters(capsys, name):
+    # order 7 is over the enumeration cap: the filter is rejected first
+    assert main(["enumerate", "--order", "7", "--plain", "--filter", name]) == 2
+    assert capsys.readouterr().err == f"error: plain tables carry no unary map for {name}\n"
 
 
 def test_enumerate_filtered_count(capsys):
@@ -192,6 +214,21 @@ def test_verify_paper_reports_broken_check(capsys, monkeypatch):
     assert code == 1
     failed = [c for c in report["checks"] if c["status"] == "fail"]
     assert [c["name"] for c in failed] == ["group-sanity"]
+
+
+def test_verify_paper_reports_census_failure(capsys, monkeypatch):
+    # a census mismatch is one failed check, and the other nine still run
+    from epivariants import search
+
+    refs = search.V1_CENSUS_REFERENCES
+    monkeypatch.setattr(search, "V1_CENSUS_REFERENCES", (refs[0], refs[0], refs[2]))
+    code, report = run_json(capsys, ["verify-paper", "--json"])
+    assert code == 1
+    assert len(report["checks"]) == 10
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == ["v1-census"]
+    assert failed[0]["detail"].startswith("matching {")
+    assert failed[0]["detail"].endswith("is not a bijection")
 
 
 @pytest.mark.parametrize("text, message", [

@@ -9,10 +9,10 @@ from epivariants.core import (
     CayleyTable,
     UnarySemigroup,
     _lex_leader,
-    anti_canonical_form,
     canonical_form,
     validate,
 )
+from epivariants.epigroup import pseudoinverse_map
 from epivariants.search import (
     SearchSpec,
     count_semigroups,
@@ -134,6 +134,9 @@ def test_tables_are_valid_canonical_and_sorted():
             validate(t)
             flat = bytes([order]) + bytes(v for row in t.table for v in row)
             assert canonical_form(t) == flat  # representative is its own form
+            # and so is its pseudoinverse map, which enumerate_models relies on
+            unary = pseudoinverse_map(t).unary
+            assert canonical_form(UnarySemigroup(t, unary)) == flat + bytes(unary)
 
 
 def test_parallel_matches_sequential():
@@ -163,8 +166,32 @@ def test_resolve_filter_names():
     assert any(cr(t) for t in z3)
     canon = resolve_filter("canonical_unary")
     assert not canon(z3[0])  # plain tables carry no unary map
-    with pytest.raises(ValueError):
-        resolve_filter("nonsense")
+    for name in ("nonsense", "E0", "not:V0", "E²"):
+        with pytest.raises(ValueError, match=f"^unknown filter '{name}'$"):
+            resolve_filter(name)
+
+
+def test_plain_mode_rejects_unary_constraints(monkeypatch):
+    # identities and filters that read the unary map are named before any
+    # enumeration; the filters that read the table alone still apply
+    from epivariants import search
+
+    def no_enumeration(order, jobs=1):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(search, "semigroup_tables", no_enumeration)
+    spec = SearchSpec(
+        order=3,
+        canonical_unary=False,
+        identities=(parse_identity("x'' = x"),),
+        structural_filters=("completely_regular", "E1", "not:W", "variant_of_CR"),
+    )
+    message = "plain tables carry no unary map for x'' = x, E1, not:W, variant_of_CR"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        enumerate_models(spec)
+    monkeypatch.undo()
+    spec = SearchSpec(order=3, canonical_unary=False, structural_filters=("completely_regular",))
+    assert all(isinstance(t, CayleyTable) for t in enumerate_models(spec).models)
 
 
 def test_enumerate_with_identity_commutative():
@@ -224,6 +251,13 @@ def _model_specs():
             yield SearchSpec(order=order, identities=x_twice, free_unary=True)
 
 
+def opposite(model):
+    # the transposed table with the same unary map: anti-isomorphic to model
+    if isinstance(model, UnarySemigroup):
+        return UnarySemigroup(CayleyTable(zip(*model.base.table)), model.unary)
+    return CayleyTable(zip(*model.table))
+
+
 def test_enumerated_models_are_valid_distinct_and_sorted():
     # what enumerate_models emits, in every mode: semigroups satisfying the
     # spec's identities, one per class, ascending by canonical form
@@ -238,7 +272,7 @@ def test_enumerated_models_are_valid_distinct_and_sorted():
         assert forms == sorted(forms)
         if spec.merge_anti_isomorphic:
             # each class is represented by the smaller of its two forms
-            assert forms == [anti_canonical_form(m) for m in models]
+            assert forms == [min(canonical_form(m), canonical_form(opposite(m))) for m in models]
             assert len(models) == KNOWN_ANTI_COUNTS[spec.order]
             assert len(models) == count_semigroups(spec.order, merge_anti=True)
         elif not spec.free_unary:
@@ -246,7 +280,7 @@ def test_enumerated_models_are_valid_distinct_and_sorted():
 
 
 def test_cross_search_cap():
-    spec = SearchSpec(order=5, structural_filters=("not:variant_of_CR",))
+    spec = SearchSpec(order=7, structural_filters=("not:variant_of_CR",))
     with pytest.raises(CapExceeded):
         enumerate_models(spec)
 

@@ -15,7 +15,7 @@ from epivariants.core import (
 )
 from epivariants.corpus import load_corpus
 from epivariants.epigroup import is_completely_regular, pseudoinverse_map
-from epivariants.search import semigroup_tables
+from epivariants.search import SearchSpec, enumerate_models, semigroup_tables
 from epivariants.variants import (
     check_pseudoinverse_transport,
     check_rho_homomorphism,
@@ -276,6 +276,29 @@ def test_indexed_witness_matches_linear_scan():
         assert is_unary_variant_of_completely_regular(m) == linear_scan_witness(m)
 
 
+def _order_5_v1_models():
+    return [m for m in map(pseudoinverse_map, semigroup_tables(5)) if in_V(m, 1).holds]
+
+
+def test_indexed_witness_matches_linear_scan_on_order_5_sample():
+    sample = random.Random(2).sample(_order_5_v1_models(), 20)
+    witnesses = [is_unary_variant_of_completely_regular(m) for m in sample]
+    assert witnesses == [linear_scan_witness(m) for m in sample]
+    assert None in witnesses  # the sample holds a non-variant
+
+
+@pytest.mark.slow
+def test_indexed_witness_matches_linear_scan_at_order_5():
+    candidates = _order_5_v1_models()
+    assert len(candidates) == 623
+    witnesses = [is_unary_variant_of_completely_regular(m) for m in candidates]
+    assert witnesses == [linear_scan_witness(m) for m in candidates]
+    assert witnesses.count(None) == 54
+    spec = SearchSpec(order=5, structural_filters=("V1", "not:variant_of_CR"))
+    census = tuple(m for m, w in zip(candidates, witnesses) if w is None)
+    assert enumerate_models(spec).models == census
+
+
 def test_unary_variant_of_z3_recognized():
     z3 = pseudoinverse_map(load_corpus("z3.sgp"))
     uv = unary_variant(z3, 1)
@@ -291,6 +314,6 @@ def test_census_references_are_not_variants():
 
 
 def test_variant_search_cap():
-    s3 = pseudoinverse_map(load_corpus("s3.sgp"))
+    z7 = CayleyTable.from_rows([[(x + y) % 7 for y in range(7)] for x in range(7)])
     with pytest.raises(CapExceeded):
-        is_unary_variant_of_completely_regular(s3)
+        is_unary_variant_of_completely_regular(pseudoinverse_map(z7))
