@@ -18,7 +18,6 @@ from .core import (
     identity_of,
     load_semigroup,
     parse_semigroup,
-    power,
     product,
     validate,
 )

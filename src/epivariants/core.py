@@ -146,22 +146,6 @@ def product(t, a, b):
     return t.table[a][b]
 
 
-def power(t, a, k):
-    """a^k by square-and-multiply; k must be >= 1 (no identity is assumed)."""
-    if k < 1:
-        raise ValueError("exponent must be a positive integer")
-    tab = t.table
-    result = None
-    base = a
-    while k:
-        if k & 1:
-            result = base if result is None else tab[result][base]
-        k >>= 1
-        if k:
-            base = tab[base][base]
-    return result
-
-
 def identity_of(t):
     """The two-sided identity element, or None."""
     n = t.order

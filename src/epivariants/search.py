@@ -3,8 +3,15 @@
 The enumerator fixes the first row, then fills the rest of the
 multiplication table cell by cell in row-major order.  Three tests cut the
 tree; the last two are one routine, ``core._lex_leader``, which also
-computes ``core.canonical_form``:
+computes ``core.canonical_form``.  Before them, a pre-filter narrows the
+values a cell is tried with:
 
+- Forced values.  While cell (a, b) is still empty, every filled triple
+  (x, y, b) with xy = a forces ab = x(yb), and every filled triple (a, x, y)
+  with xy = b forces ab = (ax)y.  If two forced values disagree the node is
+  dead; if one value is forced only it is tried; otherwise all n are.  The
+  filter only skips values the cell test would reject, so the tables and
+  the order in which they are found do not change.
 - Cell test.  A partial table is rejected as soon as a fully determined
   triple breaks associativity.  The triples that use a newly set cell (a, b)
   are (a, b, z), (z, a, b), (x, y, b) with xy = a and (a, x, y) with xy = b;
@@ -83,6 +90,36 @@ def _cell_consistent(t, a, b, where):
     return True
 
 
+def _domain(t, a, b, n, where):
+    # the values the empty cell (a, b) can still take: a triple (x, y, b)
+    # with xy = a forces ab = x(yb), and (a, x, y) with xy = b forces
+    # ab = (ax)y, once its other two cells are filled; a triple that reads
+    # (a, b) itself reads -1 here and is left to the cell test, and any
+    # other gives the same answer before and after the cell is set, so
+    # every value dropped here fails loop 3 or 4 of ``_cell_consistent``
+    forced = -1
+    for x, y in where[a]:
+        yb = t[y][b]
+        if yb >= 0:
+            v = t[x][yb]
+            if v >= 0:
+                if forced < 0:
+                    forced = v
+                elif v != forced:
+                    return ()
+    ra = t[a]
+    for x, y in where[b]:
+        ax = ra[x]
+        if ax >= 0:
+            v = t[ax][y]
+            if v >= 0:
+                if forced < 0:
+                    forced = v
+                elif v != forced:
+                    return ()
+    return range(n) if forced < 0 else (forced,)
+
+
 def _is_canonical(t):
     # stops at the first relabeling that beats t
     return _lex_leader(t, stop=True) is not None
@@ -99,7 +136,7 @@ def _fill(t, pos, n, where, out):
         # itself beats them, so it beats every completion too
         return
     row = t[a]
-    for v in range(n):
+    for v in _domain(t, a, b, n, where):
         row[b] = v
         cells = where[v]
         cells.append((a, b))
@@ -268,6 +305,12 @@ def enumerate_models(spec, jobs=1):
         ]
         if unary_only:
             raise ValueError(f"plain tables carry no unary map for {', '.join(unary_only)}")
+    if spec.free_unary:
+        # in_W reads W's basis on the pseudoinverse map alone
+        pinv_only = [name for name in spec.structural_filters if name.removeprefix("not:") == "W"]
+        if pinv_only:
+            raise ValueError(f"free unary maps cannot be filtered by {', '.join(pinv_only)}: "
+                             "W reads only the pseudoinverse map")
     found = {}
     for model in _candidates(spec, semigroup_tables(spec.order, jobs=jobs)):
         if all(find_counterexample(model, ident) is None for ident in spec.identities) and all(

@@ -160,6 +160,15 @@ def test_enumerate_plain_rejects_unary_filters(capsys, name):
     assert capsys.readouterr().err == f"error: plain tables carry no unary map for {name}\n"
 
 
+@pytest.mark.parametrize("name", ["W", "not:W"])
+def test_enumerate_free_unary_rejects_w(capsys, name):
+    # W's test reads the pseudoinverse map alone; order 7 is over the
+    # enumeration cap, so the filter is rejected before any search
+    assert main(["enumerate", "--order", "7", "--free-unary", "--filter", name]) == 2
+    message = f"free unary maps cannot be filtered by {name}: W reads only the pseudoinverse map"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_enumerate_filtered_count(capsys):
     code = main(["enumerate", "--order", "3", "--filter", "not:completely_regular", "--count-only"])
     assert code == 0

@@ -22,7 +22,6 @@ from epivariants.core import (
     generate_from_transformations,
     identity_of,
     parse_semigroup,
-    power,
     product,
     relabel,
     validate,
@@ -183,24 +182,6 @@ def test_product():
     assert product(Z2, 1, 1) == 0
     assert product(W_WITNESS, 0, 1) == 3
     assert product(W_WITNESS, 2, 1) == 2
-
-
-def test_power():
-    assert power(Z2, 1, 1) == 1
-    assert power(NULL2, 1, 2) == 0
-    assert power(W_WITNESS, 0, 2) == 2
-    with pytest.raises(ValueError):
-        power(Z2, 0, 0)
-
-
-def test_power_matches_repeated_product():
-    for t in (Z2, NULL2, LEFT_ZERO, W_WITNESS):
-        n = t.order
-        for a in range(n):
-            acc = a
-            for k in range(1, 2 * n + 1):
-                assert power(t, a, k) == acc
-                acc = t.table[acc][a]
 
 
 def test_adjoin_identity_monoid_unchanged():

@@ -153,6 +153,53 @@ def test_parallel_matches_sequential():
         assert parallel == sequential
 
 
+def test_domain_keeps_every_value_the_cell_test_accepts(monkeypatch):
+    # at every node of a cold order-4 search, each value that _fill could
+    # set and _cell_consistent accepts is among those _domain returns
+    from epivariants import search
+
+    domain, cell_consistent = search._domain, search._cell_consistent
+    nodes = dropped = 0
+
+    def spy(t, a, b, n, where):
+        nonlocal nodes, dropped
+        values = domain(t, a, b, n, where)
+        nodes += 1
+        dropped += n - len(values)
+        for v in range(n):
+            t[a][b] = v
+            where[v].append((a, b))
+            assert not cell_consistent(t, a, b, where) or v in values, (t, a, b, v)
+            where[v].pop()
+        t[a][b] = -1
+        return values
+
+    expected = semigroup_tables(4)
+    monkeypatch.delitem(search._TABLE_CACHE, 4)
+    monkeypatch.setattr(search, "_domain", spy)
+    assert semigroup_tables(4) == expected
+    assert nodes > 0 and dropped > 0
+
+
+def test_cold_order_4_search_cell_tests(monkeypatch):
+    # the cell test runs only on the values _domain leaves: 9,241 calls
+    # when every value was tried
+    from epivariants import search
+
+    calls = 0
+    cell_consistent = search._cell_consistent
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return cell_consistent(*args)
+
+    monkeypatch.delitem(search._TABLE_CACHE, 4, raising=False)
+    monkeypatch.setattr(search, "_cell_consistent", counting)
+    assert len(semigroup_tables(4)) == 188
+    assert calls <= 5000
+
+
 def test_order_cap():
     with pytest.raises(CapExceeded):
         semigroup_tables(7)
