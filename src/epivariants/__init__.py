@@ -46,7 +46,6 @@ from .varieties import (
 )
 from .variants import (
     check_pseudoinverse_transport,
-    check_rho_homomorphism,
     check_variant_index,
     is_unary_variant_of_completely_regular,
     star,
@@ -59,7 +58,6 @@ from .conjugacy import (
     check_transitivity,
     conjugacy_classes,
     primary_conjugacy,
-    transitive_closure,
 )
 from .search import (
     SearchResult,

@@ -10,13 +10,6 @@ column x of the table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, product
-
-from .core import SemigroupError
-
-
-class RelationNotSymmetric(SemigroupError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -98,15 +91,6 @@ def _components(neighbours):
                     queue.append(b)
         classes.append(tuple(sorted(component)))
     return tuple(classes)
-
-
-def transitive_closure(r):
-    """Connected components of a reflexive symmetric relation, as a
-    partition ordered by smallest member."""
-    for a, b in product(range(r.order), repeat=2):
-        if r.bits[a][b] != r.bits[b][a]:
-            raise RelationNotSymmetric(f"asymmetric at ({a},{b})")
-    return _components([compress(range(r.order), row) for row in r.bits])
 
 
 def check_transitivity(t):

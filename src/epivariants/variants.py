@@ -78,22 +78,6 @@ def check_variant_index(s, c, a):
     return base_index, variant_index, variant_index in (base_index, base_index + 1)
 
 
-def check_rho_homomorphism(t, c):
-    """rho_c: x -> xc is a homomorphism from the variant onto Sc, and with
-    canonical pseudoinverses it carries star to prime via (xc)' = x* c."""
-    tab = t.table
-    n = t.order
-    v = variant(t, c)
-    for x in range(n):
-        for y in range(n):
-            if tab[v.table[x][y]][c] != tab[tab[x][c]][tab[y][c]]:
-                return CheckReport("rho-homomorphism", False, (x, y))
-    transport = check_pseudoinverse_transport(pseudoinverse_map(t), c)
-    if not transport.ok:
-        return CheckReport("rho-homomorphism", False, transport.witness)
-    return CheckReport("rho-homomorphism", True)
-
-
 @lru_cache(maxsize=None)
 def _cr_variant_index(n):
     """canonical_form -> (T, c, unary variant) over the completely regular

@@ -1,16 +1,11 @@
 import random
 from itertools import permutations
 
-import pytest
-
 from epivariants import checks
 from epivariants.conjugacy import (
-    BinaryRelation,
-    RelationNotSymmetric,
     check_transitivity,
     conjugacy_classes,
     primary_conjugacy,
-    transitive_closure,
 )
 from epivariants.core import (
     CapExceeded,
@@ -124,19 +119,6 @@ def test_transitive_closure_partition():
             flat = sorted(a for cls in classes for a in cls)
             assert flat == list(range(order))
             assert classes == tuple(sorted(classes, key=min))
-
-
-def test_closure_rejects_asymmetric_input():
-    r = BinaryRelation(2, ((True, True), (False, True)))
-    with pytest.raises(RelationNotSymmetric):
-        transitive_closure(r)
-
-
-def test_closure_names_the_first_asymmetric_pair():
-    # (0,2) and (1,2) hold without their mirrors; the message names (0,2)
-    r = BinaryRelation(3, ((1, 0, 1), (0, 1, 1), (0, 0, 1)))
-    with pytest.raises(RelationNotSymmetric, match=r"asymmetric at \(0,2\)$"):
-        transitive_closure(r)
 
 
 def _brute_force_witness(pairs, n):

@@ -153,51 +153,70 @@ def test_parallel_matches_sequential():
         assert parallel == sequential
 
 
-def test_domain_keeps_every_value_the_cell_test_accepts(monkeypatch):
-    # at every node of a cold order-4 search, each value that _fill could
-    # set and _cell_consistent accepts is among those _domain returns
+def row_major_followers(tables):
+    # every row-major prefix of the tables' cells, mapped to the values
+    # that follow it there; a whole table maps to the empty set
+    follows = {}
+    for t in tables:
+        flat = tuple(v for row in t.table for v in row)
+        for k in range(len(flat) + 1):
+            follows.setdefault(flat[:k], set()).update(flat[k:k + 1])
+    return follows
+
+
+def test_forward_checking_agrees_with_labelled_backtracker(monkeypatch):
+    # oracle: the labelled semigroups of order 4 are every associative
+    # completion of every prefix; at each node of a cold order-4 search, a
+    # forced cell's value is the only one any completion holds there, and a
+    # value that _assign rejects leaves filled cells no completion has
     from epivariants import search
 
-    domain, cell_consistent = search._domain, search._cell_consistent
-    nodes = dropped = 0
+    follows = row_major_followers(labelled_semigroups(4))
+    assign = search._assign
+    forced = rejected = 0
 
-    def spy(t, a, b, n, where):
-        nonlocal nodes, dropped
-        values = domain(t, a, b, n, where)
-        nodes += 1
-        dropped += n - len(values)
-        for v in range(n):
-            t[a][b] = v
-            where[v].append((a, b))
-            assert not cell_consistent(t, a, b, where) or v in values, (t, a, b, v)
-            where[v].pop()
-        t[a][b] = -1
-        return values
+    def spy(t, a, b, n, where, force, trail):
+        nonlocal forced, rejected
+        flat = [v for row in t for v in row]
+        pos = a * n + b
+        if force[pos] >= 0:
+            forced += 1
+            assert follows.get(tuple(flat[:pos]), set()) <= {force[pos]}, (t, a, b)
+        ok = assign(t, a, b, n, where, force, trail)
+        if not ok:
+            rejected += 1
+            known = flat.index(-1) if -1 in flat else n * n
+            assert tuple(flat[:known]) not in follows, (t, a, b)
+        return ok
 
     expected = semigroup_tables(4)
     monkeypatch.delitem(search._TABLE_CACHE, 4)
-    monkeypatch.setattr(search, "_domain", spy)
+    monkeypatch.setattr(search, "_assign", spy)
     assert semigroup_tables(4) == expected
-    assert nodes > 0 and dropped > 0
+    assert forced > 0 and rejected > 0
 
 
-def test_cold_order_4_search_cell_tests(monkeypatch):
-    # the cell test runs only on the values _domain leaves: 9,241 calls
-    # when every value was tried
+def test_cold_order_4_search_counts(monkeypatch):
+    # forward checking: 2,760 nodes and 4,668 assignments; 2,992 and 4,857
+    # when only the cell's own filled triples narrowed its values
     from epivariants import search
 
-    calls = 0
-    cell_consistent = search._cell_consistent
+    calls = {"_fill": 0, "_assign": 0}
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return cell_consistent(*args)
+    def counting(name):
+        inner = getattr(search, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
 
     monkeypatch.delitem(search._TABLE_CACHE, 4, raising=False)
-    monkeypatch.setattr(search, "_cell_consistent", counting)
+    for name in calls:
+        monkeypatch.setattr(search, name, counting(name))
     assert len(semigroup_tables(4)) == 188
-    assert calls <= 5000
+    assert calls["_fill"] <= 2800
+    assert calls["_assign"] <= 4700
 
 
 def test_order_cap():
