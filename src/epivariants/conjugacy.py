@@ -17,9 +17,6 @@ class BinaryRelation:
     order: int
     bits: tuple  # n x n boolean matrix
 
-    def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(tuple(map(bool, row)) for row in self.bits))
-
     def holds(self, a, b):
         return self.bits[a][b]
 
@@ -49,8 +46,7 @@ def _related(t):
 
 
 def _relation(related):
-    """The BinaryRelation with the given related sets.  Its rows are built
-    as tuples of bool, so ``__post_init__``'s pass through bool is skipped."""
+    """The BinaryRelation with the given related sets."""
     n = len(related)
     rows = []
     for mine in related:
@@ -58,10 +54,7 @@ def _relation(related):
         for b in mine:
             row[b] = True
         rows.append(tuple(row))
-    rel = object.__new__(BinaryRelation)
-    object.__setattr__(rel, "order", n)
-    object.__setattr__(rel, "bits", tuple(rows))
-    return rel
+    return BinaryRelation(n, tuple(rows))
 
 
 def primary_conjugacy(t):

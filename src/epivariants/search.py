@@ -48,7 +48,7 @@ from .core import (
     validate,
 )
 from .epigroup import is_completely_regular, pseudoinverse_map
-from .varieties import find_counterexample, in_W_structural, variety_test
+from .varieties import _first_failure, in_W_structural, variety_test
 
 
 class ReproductionFailed(SemigroupError):
@@ -337,7 +337,7 @@ def enumerate_models(spec, jobs=1):
                              "W reads only the pseudoinverse map")
     found = {}
     for model in _candidates(spec, semigroup_tables(spec.order, jobs=jobs)):
-        if all(find_counterexample(model, ident) is None for ident in spec.identities) and all(
+        if (not spec.identities or _first_failure(model, spec.identities) is None) and all(
             pred(model) for pred in predicates
         ):
             table, unary = _unpack(model)

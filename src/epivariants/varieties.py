@@ -207,21 +207,25 @@ def _render(term, slots):
 
 
 @lru_cache(maxsize=256)
-def _compiled(identity):
-    """``(identity.variables, kernel)``: kernel(T, U, R) runs one nested loop
-    over R per variable and returns the first failing assignment as a tuple,
-    or None.  The kernel is None when the terms nest too deeply for the
+def _compiled(identities):
+    """``(names, kernel)`` for a tuple of identities: ``names[i]`` is
+    ``identities[i].variables``, and kernel(T, U, R) runs, for each identity
+    in turn, one nested loop over R per variable, and returns ``(i, values)``
+    for the first failing identity i and its first failing assignment, or
+    None.  The kernel is None when some term nests too deeply for the
     compiler (about 200 levels)."""
-    names = identity.variables
-    slots = {name: i for i, name in enumerate(names)}
-    k = len(slots)
+    names = tuple(identity.variables for identity in identities)
+    lines = ["def kernel(T, U, R):"]
     try:
-        lhs, rhs = _render(identity.lhs, slots), _render(identity.rhs, slots)
-        lines = ["def kernel(T, U, R):"]
-        lines += [" " * (4 + 4 * i) + f"for v{i} in R:" for i in range(k)]
-        pad = " " * (4 + 4 * k)
-        hit = "".join(f"v{i}, " for i in range(k))
-        lines += [f"{pad}if {lhs} != {rhs}:", f"{pad}    return ({hit})", "    return None"]
+        for i, (identity, variables) in enumerate(zip(identities, names)):
+            slots = {name: j for j, name in enumerate(variables)}
+            k = len(slots)
+            lhs, rhs = _render(identity.lhs, slots), _render(identity.rhs, slots)
+            lines += [" " * (4 + 4 * j) + f"for v{j} in R:" for j in range(k)]
+            pad = " " * (4 + 4 * k)
+            hit = "".join(f"v{j}, " for j in range(k))
+            lines += [f"{pad}if {lhs} != {rhs}:", f"{pad}    return {i}, ({hit})"]
+        lines.append("    return None")
         namespace = {}
         exec(compile("\n".join(lines), "<identity kernel>", "exec"), namespace)
     except (SyntaxError, RecursionError, MemoryError):
@@ -229,30 +233,45 @@ def _compiled(identity):
     return names, namespace["kernel"]
 
 
+def _first_failure(s, identities):
+    """``(identity, assignment)`` for the first identity of the tuple that s
+    fails, with its lexicographically first failing assignment as a dict in
+    ``identity.variables`` order, or None if s satisfies them all.
+
+    Each distinct tuple is compiled once (cached by value) into one Python
+    function: for each identity in turn, one nested loop per variable, in
+    ``identity.variables`` order, around ``if lhs != rhs``.  Terms become
+    nested index expressions (``T[l][r]`` for a product, ``U[c]`` for the
+    unary image) over slots v0, v1, ...; the source is built from the term
+    trees alone, so no text of an identity reaches it.  The loops run in
+    ``itertools.product`` order, and Python evaluates lhs before rhs and
+    left before right, as ``eval_term`` does: the result, and any exception
+    from a bad unary map, is the one the brute force over ``eval_term``
+    gives, identity by identity.  A tuple with a term nested too deeply to
+    compile takes that brute force instead."""
+    names, kernel = _compiled(identities)
+    T = s.base.table
+    if kernel is not None:
+        hit = kernel(T, s.unary, range(len(T)))
+        if hit is None:
+            return None
+        i, values = hit
+        return identities[i], dict(zip(names[i], values))
+    for identity, variables in zip(identities, names):
+        for values in iproduct(range(len(T)), repeat=len(variables)):
+            env = dict(zip(variables, values))
+            if eval_term(identity.lhs, s, env) != eval_term(identity.rhs, s, env):
+                return identity, env
+    return None
+
+
 def find_counterexample(s, identity):
     """The lexicographically first failing assignment, as a dict in
-    ``identity.variables`` order, or None if the identity holds.
-
-    Each distinct identity is compiled once (cached by value) into a Python
-    function with one nested loop per variable, in ``identity.variables``
-    order, around ``if lhs != rhs``.  Terms become nested index expressions
-    (``T[l][r]`` for a product, ``U[c]`` for the unary image) over slots
-    v0, v1, ...; the source is built from the term tree alone, so no text
-    of the identity reaches it.  The loops run in ``itertools.product``
-    order, and Python evaluates lhs before rhs and left before right, as
-    ``eval_term`` does: the result, and any exception from a bad unary map,
-    is the one the brute force over ``eval_term`` gives.  Terms nested too
-    deeply to compile take that brute force instead.
-    """
-    names, kernel = _compiled(identity)
-    if kernel is not None:
-        hit = kernel(s.base.table, s.unary, range(s.order))
-        return None if hit is None else dict(zip(names, hit))
-    for values in iproduct(range(s.order), repeat=len(names)):
-        env = dict(zip(names, values))
-        if eval_term(identity.lhs, s, env) != eval_term(identity.rhs, s, env):
-            return env
-    return None
+    ``identity.variables`` order, or None if the identity holds: the basis
+    of one identity through ``_first_failure``, with its kernel and its
+    fallback for deep terms."""
+    hit = _first_failure(s, (identity,))
+    return None if hit is None else hit[1]
 
 
 def satisfies(s, identity):
@@ -268,11 +287,10 @@ class VarietyReport:
 
 
 def _check_identities(name, s, identities):
-    for ident in identities:
-        env = find_counterexample(s, ident)
-        if env is not None:
-            return VarietyReport(name, False, ident, env)
-    return VarietyReport(name, True)
+    hit = _first_failure(s, identities)
+    if hit is None:
+        return VarietyReport(name, True)
+    return VarietyReport(name, False, *hit)
 
 
 EQ_PINV_FIXED = parse_identity("x'*x*x' = x'")
@@ -318,7 +336,7 @@ def in_E(s, n):
     ``checks.check_oracles`` compares the other axiomatization and V_n."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    return _check_identities(f"E_{n}", s, [EQ_PINV_FIXED, EQ_COMMUTE, e_identity(n)])
+    return _check_identities(f"E_{n}", s, (EQ_PINV_FIXED, EQ_COMMUTE, e_identity(n)))
 
 
 def in_V(s, n):
@@ -327,7 +345,7 @@ def in_V(s, n):
     if n < 1:
         raise ValueError("n must be a positive integer")
     return _check_identities(
-        f"V_{n}", s, [EQ_PINV_FIXED, EQ_COMMUTE, v_identity_1(n), v_identity_2(n)]
+        f"V_{n}", s, (EQ_PINV_FIXED, EQ_COMMUTE, v_identity_1(n), v_identity_2(n))
     )
 
 
@@ -343,7 +361,7 @@ def in_W(s):
     return _check_identities(
         "W",
         s,
-        [EQ_PINV_FIXED, EQ_COMMUTE, EQ_DOUBLE_PRIME, EQ_SQUARE_PRIME, EQ_PRODUCT_STABLE],
+        (EQ_PINV_FIXED, EQ_COMMUTE, EQ_DOUBLE_PRIME, EQ_SQUARE_PRIME, EQ_PRODUCT_STABLE),
     )
 
 

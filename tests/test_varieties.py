@@ -1,4 +1,5 @@
 import pickle
+from functools import partial
 from itertools import product
 
 import pytest
@@ -233,14 +234,61 @@ def test_kernel_takes_no_text_from_the_identity():
             assert list(got) == identity.variables
 
 
+def brute_force_report(s, basis):
+    """(holds, failing identity, failing assignment as a list of items): the
+    first identity of the basis that fails, and its first assignment."""
+    for identity in basis:
+        env = brute_force_counterexample(s, identity)
+        if env is not None:
+            return False, identity, list(env.items())
+    return True, None, None
+
+
+def report_triple(report):
+    env = report.failing_assignment
+    return report.holds, report.failing_identity, None if env is None else list(env.items())
+
+
+def variety_bases():
+    """Each membership test with the basis it reads, in its order."""
+    p, c = varieties.EQ_PINV_FIXED, varieties.EQ_COMMUTE
+    for n in (1, 2, 3, 4):
+        yield partial(in_E, n=n), (p, c, e_identity(n))
+        yield partial(in_V, n=n), (p, c, v_identity_1(n), v_identity_2(n))
+    yield in_W, (
+        p,
+        c,
+        varieties.EQ_DOUBLE_PRIME,
+        varieties.EQ_SQUARE_PRIME,
+        varieties.EQ_PRODUCT_STABLE,
+    )
+
+
+def test_basis_kernel_reports_first_failure_like_brute_force():
+    # one kernel runs the whole basis; the report names the first failing
+    # identity in basis order and that identity's first assignment
+    failing = set()
+    for s in kernel_models():
+        for test, basis in variety_bases():
+            if test is in_W and not s.canonical:
+                continue
+            expected = brute_force_report(s, basis)
+            assert report_triple(test(s)) == expected, (s, basis)
+            if not expected[0]:
+                failing.add(basis.index(expected[1]))
+    # the failures reach every position of a basis
+    assert failing == {0, 1, 2, 3, 4}
+
+
 def test_kernel_cached_by_value():
     varieties._compiled.cache_clear()
     s = pseudoinverse_map(NULL2)
     for _ in range(3):
         find_counterexample(s, e_identity(2))
         find_counterexample(s, parse_identity("x*x' = x'*x"))
+        in_E(s, 2)  # a new tuple of the same identities on each call
     info = varieties._compiled.cache_info()
-    assert (info.misses, info.hits) == (2, 4)
+    assert (info.misses, info.hits) == (3, 6)
 
 
 def test_equal_identities_hash_equal_and_share_a_kernel():
@@ -252,16 +300,37 @@ def test_equal_identities_hash_equal_and_share_a_kernel():
     assert hash(parsed) == hash(built) == hash(copied) == hash((built.lhs, built.rhs))
     assert {built: 1}[parsed] == 1
     assert parsed != e_identity(1) and hash(parsed) != hash(e_identity(1))
-    assert varieties._compiled(parsed) is varieties._compiled(built) is varieties._compiled(copied)
+    compiled = varieties._compiled
+    assert compiled((parsed,)) is compiled((built,)) is compiled((copied,))
+    commute = parse_identity("x*x' = x'*x")
+    assert compiled((commute, parsed)) is compiled((varieties.EQ_COMMUTE, copied))
+    assert compiled((commute, parsed)) is not compiled((parsed, commute))
+
+
+DEEP = parse_identity("x^300 = x^2")  # too deeply nested for the compiler
 
 
 def test_kernel_deep_term_falls_back_to_eval_term():
-    # too deeply nested for the compiler; the brute force answers instead
-    identity = parse_identity("x^300 = x^2")
-    assert varieties._compiled(identity)[1] is None
+    # the brute force answers instead
+    assert varieties._compiled((DEEP,))[1] is None
     for name in ("z3.sgp", "null2.sgp", "w_not_v1.sgp"):
         s = canonical(name)
-        assert find_counterexample(s, identity) == brute_force_counterexample(s, identity)
+        assert find_counterexample(s, DEEP) == brute_force_counterexample(s, DEEP)
+
+
+def test_basis_with_one_deep_identity_falls_back_as_a_whole():
+    # one identity nests too deeply, so the basis runs on eval_term alone:
+    # the same report as the brute force, whichever identity fails first
+    basis = (varieties.EQ_PINV_FIXED, DEEP, parse_identity("x*y = y*x"))
+    assert varieties._compiled(basis)[1] is None
+    assert varieties._compiled(basis[::2])[1] is not None
+    failing = set()
+    for s in kernel_models()[::5]:
+        expected = brute_force_report(s, basis)
+        report = varieties._check_identities("B", s, basis)
+        assert report_triple(report) == expected, s
+        failing.add(expected[1])
+    assert failing == {None, *basis}
 
 
 @pytest.mark.parametrize("unary", [(0, 5), (2, 0), (0, -1)])
