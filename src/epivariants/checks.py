@@ -17,6 +17,7 @@ from .core import (
     _isomorphism_search,
     canonical_form,
     identity_of,
+    table_of,
 )
 from .corpus import corpus_names, load_corpus
 from .epigroup import (
@@ -423,7 +424,7 @@ def check_oracles():
                     problems.append(f"iso/canonical mismatch at order {order} ({i},{j})")
     for name in corpus_names():
         model = load_corpus(name)
-        t = model.base if hasattr(model, "base") else model
+        t = table_of(model)
         oracle = _conjugacy_oracle(t)
         rel = primary_conjugacy(t)
         if [list(row) for row in rel.bits] != oracle:

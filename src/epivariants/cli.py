@@ -21,6 +21,7 @@ from .core import (
     canonical_form,
     emit_semigroup,
     load_semigroup,
+    table_of,
     validate,
 )
 from .epigroup import epigroup_data, pseudoinverse_map, verify_epigroup_identities
@@ -58,15 +59,11 @@ def _load(path, require_valid=True):
     try:
         model = load_semigroup(path)
         if require_valid:
-            validate(model.base if isinstance(model, UnarySemigroup) else model)
+            validate(table_of(model))
         return model
     except (OSError, ValueError, SemigroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
-
-
-def _table_of(model):
-    return model.base if isinstance(model, UnarySemigroup) else model
 
 
 def _emit_report(report, as_json):
@@ -78,7 +75,7 @@ def cmd_validate(args, argv):
     rb = ReportBuilder(argv)
     model = _load(args.file, require_valid=False)
     try:
-        validate(_table_of(model))
+        validate(table_of(model))
         rb.add("associativity", "pass")
     except SemigroupError as exc:
         rb.add("associativity", "fail", detail=str(exc))
@@ -111,7 +108,7 @@ def _eggbox_lines(t, g):
 
 def cmd_green(args, argv):
     rb = ReportBuilder(argv)
-    t = _table_of(_load(args.file))
+    t = table_of(_load(args.file))
     g = green(t)
     rb.report["data"] = {
         "r_class": list(g.r_class),
@@ -135,7 +132,7 @@ def cmd_green(args, argv):
 
 def cmd_epi(args, argv):
     rb = ReportBuilder(argv)
-    t = _table_of(_load(args.file))
+    t = table_of(_load(args.file))
     data = epigroup_data(t)
     s = pseudoinverse_map(t)
     rb.report["data"] = {
@@ -196,7 +193,7 @@ def cmd_variety(args, argv):
 
 def cmd_variant(args, argv):
     model = _load(args.file)
-    t = _table_of(model)
+    t = table_of(model)
     if not 0 <= args.at < t.order:
         print(f"error: sandwich element {args.at} out of range", file=sys.stderr)
         return 2
@@ -211,7 +208,7 @@ def cmd_variant(args, argv):
 
 def cmd_conjugacy(args, argv):
     rb = ReportBuilder(argv)
-    t = _table_of(_load(args.file))
+    t = table_of(_load(args.file))
     report = check_transitivity(t)
     rb.report["data"] = {
         "relation": [[int(v) for v in row] for row in report.relation.bits],
@@ -266,9 +263,9 @@ def cmd_enumerate(args, argv):
     try:
         # the semigroup count is the model count unless unary maps are free
         if args.count_only and not (identities or filters or args.free_unary):
-            print(count_semigroups(args.order, merge_anti=args.merge_anti, jobs=args.jobs))
+            print(count_semigroups(args.order, merge_anti=args.merge_anti))
             return 0
-        result = enumerate_models(spec, jobs=args.jobs)
+        result = enumerate_models(spec)
     except (ValueError, SemigroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -276,17 +273,21 @@ def cmd_enumerate(args, argv):
         print(len(result.models))
         return 0
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        manifest = []
-        for i, model in enumerate(result.models):
-            name = f"model_{i:04d}.sgp"
-            with open(os.path.join(args.out, name), "w") as fh:
-                fh.write(emit_semigroup(model))
-            manifest.append(
-                {"file": name, "canonical_sha256": hashlib.sha256(canonical_form(model)).hexdigest()}
-            )
-        with open(os.path.join(args.out, "manifest.json"), "w") as fh:
-            json.dump({"order": args.order, "models": manifest}, fh, indent=2)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            manifest = []
+            for i, model in enumerate(result.models):
+                name = f"model_{i:04d}.sgp"
+                with open(os.path.join(args.out, name), "w") as fh:
+                    fh.write(emit_semigroup(model))
+                manifest.append(
+                    {"file": name, "canonical_sha256": hashlib.sha256(canonical_form(model)).hexdigest()}
+                )
+            with open(os.path.join(args.out, "manifest.json"), "w") as fh:
+                json.dump({"order": args.order, "models": manifest}, fh, indent=2)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {len(result.models)} models to {args.out}")
     else:
         for model in result.models:
@@ -355,7 +356,6 @@ def build_parser():
     p.add_argument("--merge-anti", action="store_true")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--out", help="write models one per file plus a manifest")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = add("verify-paper", cmd_verify_paper, help="run the full verification suite")
     p.add_argument("--json", action="store_true")

@@ -229,6 +229,11 @@ def generate_from_transformations(gens, cap=10000):
     return CayleyTable.from_rows(rows), tuple(elements)
 
 
+def table_of(model):
+    """The Cayley table of a model: its base table when it has a unary map."""
+    return model.base if isinstance(model, UnarySemigroup) else model
+
+
 def _unpack(s):
     if isinstance(s, UnarySemigroup):
         return s.base.table, s.unary

@@ -31,7 +31,6 @@ computes ``core.canonical_form``.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass
 from itertools import chain, product as iproduct
@@ -45,6 +44,7 @@ from .core import (
     _lex_leader,
     _unpack,
     find_isomorphism,
+    table_of,
     validate,
 )
 from .epigroup import is_completely_regular, pseudoinverse_map
@@ -108,45 +108,40 @@ def _assign(t, a, b, n, where, force, trail):
                 trail.append(cell)
             elif forced != value:
                 return False
+    # Loops 3 and 4 only force.  A triple they reach with all four cells
+    # known already holds: of its other three cells, the last one set found
+    # (a, b) unknown and forced it, through loop 1, 2 or 4 (loop 3's
+    # triples) or loop 1, 2 or 3 (loop 4's), and ``_fill`` tries only the
+    # forced value.  While row 0 is walked, the whole row is already in t;
+    # a triple inside row 0 is (0, 0, z) with 00 = 0, which loop 2 compares
+    # at cell (0, z)
     for x, y in where[a]:  # (xy)b = ab = v against x(yb)
         yb = t[y][b]
-        if yb >= 0:
-            right = t[x][yb]
-            if right < 0:
-                cell = x * n + yb
-                forced = force[cell]
-                if forced < 0:
-                    force[cell] = v
-                    trail.append(cell)
-                elif forced != v:
-                    return False
-            elif right != v:
+        if yb >= 0 and t[x][yb] < 0:
+            cell = x * n + yb
+            forced = force[cell]
+            if forced < 0:
+                force[cell] = v
+                trail.append(cell)
+            elif forced != v:
                 return False
     for x, y in where[b]:  # (ax)y against a(xy) = ab = v
         ax = ra[x]
-        if ax >= 0:
-            left = t[ax][y]
-            if left < 0:
-                cell = ax * n + y
-                forced = force[cell]
-                if forced < 0:
-                    force[cell] = v
-                    trail.append(cell)
-                elif forced != v:
-                    return False
-            elif left != v:
+        if ax >= 0 and t[ax][y] < 0:
+            cell = ax * n + y
+            forced = force[cell]
+            if forced < 0:
+                force[cell] = v
+                trail.append(cell)
+            elif forced != v:
                 return False
     return True
 
 
-def _is_canonical(t):
-    # stops at the first relabeling that beats t
-    return _lex_leader(t, stop=True) is not None
-
-
 def _fill(t, pos, n, where, force, trail, out):
     if pos == n * n:
-        if _is_canonical(t):
+        # the walk stops at the first relabeling that beats t
+        if _lex_leader(t, stop=True) is not None:
             out.append(tuple(tuple(row) for row in t))
         return
     a = pos // n
@@ -171,43 +166,10 @@ def _fill(t, pos, n, where, force, trail, out):
     row[b] = -1
 
 
-def _enumerate_with_rows(args):
-    """The canonical tables of order n whose leading rows are the given
-    ones (the first row alone, or the first two)."""
-    n, rows = args
-    t = [list(rows[0])] + [[-1] * n for _ in range(n - 1)]
-    if n > 1 and _lex_leader(t, rows=1, stop=True) is None:
-        return []
-    where = [[] for _ in range(n)]
-    force = [-1] * (n * n)
-    trail = []
-    # row 0 is in t already, for the screen above; each of its cells is
-    # still walked, to check and force from it
-    for a, row in enumerate(rows):
-        for b, v in enumerate(row):
-            t[a][b] = v
-            where[v].append((a, b))
-            if not _assign(t, a, b, n, where, force, trail):
-                return []
-    out = []
-    _fill(t, n * len(rows), n, where, force, trail, out)
-    return out
-
-
-def _tasks(order, split):
-    """The search as tasks, one per first row; with ``split``, the all-zero
-    first row, whose subtree holds most of the work, gives one task per
-    second row instead."""
-    rows = list(iproduct(range(order), repeat=order))
-    if not split or order < 2:
-        return [(order, (row,)) for row in rows]
-    return [(order, (rows[0], second)) for second in rows] + [(order, (row,)) for row in rows[1:]]
-
-
 _TABLE_CACHE = {}
 
 
-def semigroup_tables(order, jobs=1):
+def semigroup_tables(order):
     """All semigroups of the given order, one canonical representative per
     isomorphism class, sorted by canonical form."""
     if order < 1:
@@ -216,15 +178,24 @@ def semigroup_tables(order, jobs=1):
         raise CapExceeded(f"order {order} exceeds the enumeration cap {MAX_PLAIN_ORDER}")
     if order in _TABLE_CACHE:
         return _TABLE_CACHE[order]
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            # most tasks end within microseconds, so they go out 64 at a
-            # time; the default chunk, an eighth of a worker's share, would
-            # put the few heavy ones on one worker together
-            chunks = pool.map(_enumerate_with_rows, _tasks(order, True), chunksize=64)
-    else:
-        chunks = [_enumerate_with_rows(task) for task in _tasks(order, False)]
-    tables = sorted(t for chunk in chunks for t in chunk)
+    n = order
+    tables = []
+    for first in iproduct(range(n), repeat=n):
+        t = [list(first)] + [[-1] * n for _ in range(n - 1)]
+        if n > 1 and _lex_leader(t, rows=1, stop=True) is None:
+            continue
+        where = [[] for _ in range(n)]
+        force = [-1] * (n * n)
+        trail = []
+        # row 0 is in t already, for the screen above; each of its cells is
+        # still walked, to check and force from it
+        for b, v in enumerate(first):
+            where[v].append((0, b))
+            if not _assign(t, 0, b, n, where, force, trail):
+                break
+        else:
+            _fill(t, n, n, where, force, trail, tables)
+    tables.sort()
     result = tuple(CayleyTable(t) for t in tables)
     for t in result:
         validate(t)  # belt over the incremental pruning
@@ -232,13 +203,13 @@ def semigroup_tables(order, jobs=1):
     return result
 
 
-def count_semigroups(order, merge_anti=False, jobs=1):
+def count_semigroups(order, merge_anti=False):
     """Number of semigroups of the given order up to isomorphism, or up to
     isomorphism plus anti-isomorphism."""
     if not merge_anti:
-        return len(semigroup_tables(order, jobs=jobs))
+        return len(semigroup_tables(order))
     spec = SearchSpec(order, canonical_unary=False, merge_anti_isomorphic=True)
-    return len(enumerate_models(spec, jobs=jobs).models)
+    return len(enumerate_models(spec).models)
 
 
 @dataclass(frozen=True)
@@ -262,15 +233,11 @@ class SearchResult:
     provenance: dict
 
 
-def _table_of(model):
-    return model.base if isinstance(model, UnarySemigroup) else model
-
-
 # the filters that need no unary map, so they also apply to plain tables
 _TABLE_FILTERS = {
     "canonical_unary": lambda m: isinstance(m, UnarySemigroup) and m.canonical,
-    "completely_regular": lambda m: is_completely_regular(_table_of(m)),
-    "in_W_structural": lambda m: in_W_structural(_table_of(m)),
+    "completely_regular": lambda m: is_completely_regular(table_of(m)),
+    "in_W_structural": lambda m: in_W_structural(table_of(m)),
 }
 
 
@@ -310,7 +277,7 @@ def _candidates(spec, tables):
         yield from tables
 
 
-def enumerate_models(spec, jobs=1):
+def enumerate_models(spec):
     """All models of a SearchSpec up to isomorphism (unary isomorphism when a
     unary map is attached), sorted by canonical form.
 
@@ -336,7 +303,7 @@ def enumerate_models(spec, jobs=1):
             raise ValueError(f"free unary maps cannot be filtered by {', '.join(pinv_only)}: "
                              "W reads only the pseudoinverse map")
     found = {}
-    for model in _candidates(spec, semigroup_tables(spec.order, jobs=jobs)):
+    for model in _candidates(spec, semigroup_tables(spec.order)):
         if (not spec.identities or _first_failure(model, spec.identities) is None) and all(
             pred(model) for pred in predicates
         ):

@@ -192,6 +192,17 @@ def test_enumerate_out_manifest(tmp_path, capsys):
     assert len(digests) == 5
 
 
+def test_enumerate_out_onto_a_file_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "models"
+    out.write_text("kept\n")
+    assert main(["enumerate", "--order", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 17] File exists")
+    assert str(out) in captured.err
+    assert out.read_text() == "kept\n"
+
+
 def test_enumerate_identities_file(tmp_path, capsys):
     path = tmp_path / "idents.txt"
     path.write_text("# commutativity\n  # an indented comment\nx*y = y*x\n")

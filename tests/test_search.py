@@ -152,20 +152,6 @@ def test_tables_are_valid_canonical_and_sorted():
             assert canonical_form(UnarySemigroup(t, unary)) == flat + bytes(unary)
 
 
-def test_parallel_matches_sequential():
-    from epivariants import search
-
-    # order 1 has no second row to split the all-zero first row by
-    for order in (1, 3, 4, 5):
-        sequential = semigroup_tables(order)
-        search._TABLE_CACHE.pop(order, None)
-        try:
-            parallel = semigroup_tables(order, jobs=2)
-        finally:
-            search._TABLE_CACHE[order] = sequential
-        assert parallel == sequential
-
-
 def row_major_followers(tables):
     # every row-major prefix of the tables' cells, mapped to the values
     # that follow it there; a whole table maps to the empty set
@@ -255,7 +241,7 @@ def test_plain_mode_rejects_unary_constraints(monkeypatch):
     # enumeration; the filters that read the table alone still apply
     from epivariants import search
 
-    def no_enumeration(order, jobs=1):
+    def no_enumeration(order):
         raise AssertionError("enumerated")
 
     monkeypatch.setattr(search, "semigroup_tables", no_enumeration)
