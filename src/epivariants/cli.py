@@ -243,6 +243,19 @@ def _read_identities(path):
     return tuple(identities)
 
 
+def _previous_run(out):
+    """The files in directory out that an earlier ``enumerate --out`` wrote:
+    its manifest and its model files."""
+    try:
+        names = os.listdir(out)
+    except OSError:
+        return []  # no such directory yet, or not a directory: makedirs reports it
+    return sorted(
+        name for name in names
+        if name == "manifest.json" or (name.startswith("model_") and name.endswith(".sgp"))
+    )
+
+
 def cmd_enumerate(args, argv):
     identities = ()
     if args.identities:
@@ -250,6 +263,17 @@ def cmd_enumerate(args, argv):
             identities = _read_identities(args.identities)
         except (OSError, ValueError, IdentityParseError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 2
+    if args.out and not args.count_only:
+        # a smaller run would leave the earlier run's extra models beside a
+        # manifest that does not list them; the user's files are never removed
+        previous = _previous_run(args.out)
+        if previous:
+            print(
+                f"error: {args.out} already holds {len(previous)} files of an earlier "
+                f"--out run, {previous[0]} first; choose a new or empty directory",
+                file=sys.stderr,
+            )
             return 2
     filters = tuple(f.strip() for f in (args.filter or "").split(",") if f.strip())
     spec = SearchSpec(
@@ -355,7 +379,11 @@ def build_parser():
     unary.add_argument("--plain", action="store_true", help="emit plain tables without a unary map")
     p.add_argument("--merge-anti", action="store_true")
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--out", help="write models one per file plus a manifest")
+    p.add_argument(
+        "--out",
+        help="write models one per file plus a manifest into a directory "
+        "that holds no earlier run's output",
+    )
 
     p = add("verify-paper", cmd_verify_paper, help="run the full verification suite")
     p.add_argument("--json", action="store_true")

@@ -48,7 +48,7 @@ from .core import (
     validate,
 )
 from .epigroup import is_completely_regular, pseudoinverse_map
-from .varieties import _first_failure, in_W_structural, variety_test
+from .varieties import _compiled, _first_failure, in_W_structural, variety_test
 
 
 class ReproductionFailed(SemigroupError):
@@ -302,9 +302,10 @@ def enumerate_models(spec):
         if pinv_only:
             raise ValueError(f"free unary maps cannot be filtered by {', '.join(pinv_only)}: "
                              "W reads only the pseudoinverse map")
+    basis = _compiled(spec.identities)
     found = {}
     for model in _candidates(spec, semigroup_tables(spec.order)):
-        if (not spec.identities or _first_failure(model, spec.identities) is None) and all(
+        if (not spec.identities or _first_failure(model, basis) is None) and all(
             pred(model) for pred in predicates
         ):
             table, unary = _unpack(model)
@@ -359,18 +360,20 @@ def reproduce_v1_census():
             raise ReproductionFailed(f"reference {name} lost its pseudoinverse map")
 
     matching = {}
+    isomorphisms = {}  # the one found in the sweep, reused for the check below
     models = results[4].models
     for name, ref in zip(V1_CENSUS_REFERENCES, references):
-        hits = [i for i, m in enumerate(models) if find_isomorphism(ref, m) is not None]
+        phis = (find_isomorphism(ref, m) for m in models)
+        hits = {i: phi for i, phi in enumerate(phis) if phi is not None}
         if len(hits) != 1:
-            raise ReproductionFailed(f"reference {name} matched models {hits}, expected one")
-        matching[name] = hits[0]
+            raise ReproductionFailed(f"reference {name} matched models {list(hits)}, expected one")
+        [(matching[name], isomorphisms[name])] = hits.items()
     if sorted(matching.values()) != [0, 1, 2]:
         raise ReproductionFailed(f"matching {matching} is not a bijection")
 
     for name, ref in zip(V1_CENSUS_REFERENCES, references):
         model = models[matching[name]]
-        phi = find_isomorphism(ref, model)
+        phi = isomorphisms[name]
         for x in range(4):
             if model.unary[phi[x]] != phi[ref.unary[x]]:
                 raise ReproductionFailed(f"pseudoinverse mismatch under matching for {name}")

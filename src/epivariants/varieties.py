@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product as iproduct
+from typing import NamedTuple
 
 
 class UnboundVariable(Exception):
@@ -206,14 +207,25 @@ def _render(term, slots):
     return f"T[{_render(term[1], slots)}][{_render(term[2], slots)}]"
 
 
+class _Basis(NamedTuple):
+    """A tuple of identities compiled for ``_first_failure``."""
+
+    names: tuple
+    kernel: object
+    identities: tuple
+
+
 @lru_cache(maxsize=256)
 def _compiled(identities):
-    """``(names, kernel)`` for a tuple of identities: ``names[i]`` is
-    ``identities[i].variables``, and kernel(T, U, R) runs, for each identity
-    in turn, one nested loop over R per variable, and returns ``(i, values)``
-    for the first failing identity i and its first failing assignment, or
-    None.  The kernel is None when some term nests too deeply for the
-    compiler (about 200 levels)."""
+    """The ``_Basis`` of a tuple of identities, compiled once per distinct
+    tuple (cached by value): ``names[i]`` is ``identities[i].variables``, and
+    kernel(T, U, R) runs, for each identity in turn, one nested loop over R
+    per variable, and returns ``(i, values)`` for the first failing identity
+    i and its first failing assignment, or None.  The kernel is None when
+    some term nests too deeply for the compiler (about 200 levels).
+    ``in_E``, ``in_V`` and ``in_W`` look their basis up here once and keep
+    it; ``find_counterexample`` looks its basis of one identity up on every
+    call."""
     names = tuple(identity.variables for identity in identities)
     lines = ["def kernel(T, U, R):"]
     try:
@@ -229,27 +241,28 @@ def _compiled(identities):
         namespace = {}
         exec(compile("\n".join(lines), "<identity kernel>", "exec"), namespace)
     except (SyntaxError, RecursionError, MemoryError):
-        return names, None
-    return names, namespace["kernel"]
+        return _Basis(names, None, identities)
+    return _Basis(names, namespace["kernel"], identities)
 
 
-def _first_failure(s, identities):
-    """``(identity, assignment)`` for the first identity of the tuple that s
-    fails, with its lexicographically first failing assignment as a dict in
-    ``identity.variables`` order, or None if s satisfies them all.
+def _first_failure(s, basis):
+    """``(identity, assignment)`` for the first identity of a ``_compiled``
+    basis that s fails, with its lexicographically first failing assignment
+    as a dict in ``identity.variables`` order, or None if s satisfies them
+    all.
 
-    Each distinct tuple is compiled once (cached by value) into one Python
-    function: for each identity in turn, one nested loop per variable, in
-    ``identity.variables`` order, around ``if lhs != rhs``.  Terms become
-    nested index expressions (``T[l][r]`` for a product, ``U[c]`` for the
-    unary image) over slots v0, v1, ...; the source is built from the term
-    trees alone, so no text of an identity reaches it.  The loops run in
-    ``itertools.product`` order, and Python evaluates lhs before rhs and
-    left before right, as ``eval_term`` does: the result, and any exception
-    from a bad unary map, is the one the brute force over ``eval_term``
-    gives, identity by identity.  A tuple with a term nested too deeply to
-    compile takes that brute force instead."""
-    names, kernel = _compiled(identities)
+    The kernel is one Python function: for each identity in turn, one
+    nested loop per variable, in ``identity.variables`` order, around
+    ``if lhs != rhs``.  Terms become nested index expressions (``T[l][r]``
+    for a product, ``U[c]`` for the unary image) over slots v0, v1, ...;
+    the source is built from the term trees alone, so no text of an
+    identity reaches it.  The loops run in ``itertools.product`` order, and
+    Python evaluates lhs before rhs and left before right, as ``eval_term``
+    does: the result, and any exception from a bad unary map, is the one
+    the brute force over ``eval_term`` gives, identity by identity.  A basis
+    with a term nested too deeply to compile takes that brute force
+    instead."""
+    names, kernel, identities = basis
     T = s.base.table
     if kernel is not None:
         hit = kernel(T, s.unary, range(len(T)))
@@ -270,7 +283,7 @@ def find_counterexample(s, identity):
     ``identity.variables`` order, or None if the identity holds: the basis
     of one identity through ``_first_failure``, with its kernel and its
     fallback for deep terms."""
-    hit = _first_failure(s, (identity,))
+    hit = _first_failure(s, _compiled((identity,)))
     return None if hit is None else hit[1]
 
 
@@ -286,11 +299,22 @@ class VarietyReport:
     failing_assignment: dict | None = None
 
 
-def _check_identities(name, s, identities):
-    hit = _first_failure(s, identities)
+def _prepared(name, identities):
+    """``(basis, holds)``: the ``_compiled`` basis, and the one report of a
+    model that satisfies it, shared by every such model."""
+    return _compiled(identities), VarietyReport(name, True)
+
+
+def _report(s, prepared):
+    basis, holds = prepared
+    hit = _first_failure(s, basis)
     if hit is None:
-        return VarietyReport(name, True)
-    return VarietyReport(name, False, *hit)
+        return holds
+    return VarietyReport(holds.name, False, *hit)
+
+
+def _check_identities(name, s, identities):
+    return _report(s, _prepared(name, identities))
 
 
 EQ_PINV_FIXED = parse_identity("x'*x*x' = x'")
@@ -331,38 +355,52 @@ def v_identity_2(n):
 EQ_PRODUCT_STABLE = parse_identity("(x*y)'' = x*y")
 
 
+@lru_cache(maxsize=16)
+def _e_basis(n):
+    return _prepared(f"E_{n}", (EQ_PINV_FIXED, EQ_COMMUTE, e_identity(n)))
+
+
+@lru_cache(maxsize=16)
+def _v_basis(n):
+    return _prepared(f"V_{n}", (EQ_PINV_FIXED, EQ_COMMUTE, v_identity_1(n), v_identity_2(n)))
+
+
 def in_E(s, n):
     """Membership in E_n by x'xx' = x', xx' = x'x and x^{n+1} x' = x^n alone;
-    ``checks.check_oracles`` compares the other axiomatization and V_n."""
+    ``checks.check_oracles`` compares the other axiomatization and V_n.
+    The basis is prepared once per n; every member shares one report."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    return _check_identities(f"E_{n}", s, (EQ_PINV_FIXED, EQ_COMMUTE, e_identity(n)))
+    return _report(s, _e_basis(n))
 
 
 def in_V(s, n):
     """Membership in V_n by its four identities alone;
-    ``checks.check_oracles`` checks E_n <= V_n <= E_{n+1}."""
+    ``checks.check_oracles`` checks E_n <= V_n <= E_{n+1}.  The basis is
+    prepared once per n; every member shares one report."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    return _check_identities(
-        f"V_{n}", s, (EQ_PINV_FIXED, EQ_COMMUTE, v_identity_1(n), v_identity_2(n))
-    )
+    return _report(s, _v_basis(n))
 
 
 EQ_SQUARE_PRIME = parse_identity("(x^2)' = x'^2")
 EQ_DOUBLE_PRIME = parse_identity("x*x'*x = x''")
 
 
+@lru_cache(maxsize=None)
+def _w_basis():
+    return _prepared(
+        "W", (EQ_PINV_FIXED, EQ_COMMUTE, EQ_DOUBLE_PRIME, EQ_SQUARE_PRIME, EQ_PRODUCT_STABLE)
+    )
+
+
 def in_W(s):
     """Membership in W by its five-identity basis alone, on the canonical
-    pseudoinverse map; ``checks.check_oracles`` compares the other criteria."""
+    pseudoinverse map; ``checks.check_oracles`` compares the other criteria.
+    The basis is prepared once; every member shares one report."""
     if not s.canonical:
         raise ValueError("in_W requires the canonical pseudoinverse map")
-    return _check_identities(
-        "W",
-        s,
-        (EQ_PINV_FIXED, EQ_COMMUTE, EQ_DOUBLE_PRIME, EQ_SQUARE_PRIME, EQ_PRODUCT_STABLE),
-    )
+    return _report(s, _w_basis())
 
 
 def variety_test(name):

@@ -9,8 +9,8 @@ from dataclasses import replace
 
 import pytest
 
-from epivariants import checks
-from epivariants.epigroup import EpigroupData
+from epivariants import checks, variants
+from epivariants.epigroup import EpigroupData, pseudoinverse_map
 from epivariants.varieties import VarietyReport, parse_identity
 
 CHECKS = {fn.__name__: fn for fn in checks.ALL_CHECKS}
@@ -78,3 +78,36 @@ def test_oracle_check_reports_each_variety_disagreement(monkeypatch, name, patch
     assert not outcome.ok
     for message in messages:
         assert message in outcome.detail
+
+
+def _flagged_index_bounds():
+    """(the (t, c, a) that ``check_variant_index_bounds``'s loop flags, the
+    ones that ``variants.check_variant_index`` flags one a at a time)."""
+    loop, per_element = set(), set()
+    for t in checks._tables_up_to(4):
+        s = pseudoinverse_map(t)
+        for c in range(t.order):
+            loop.update((t.table, c, a) for a in checks._variant_index_violations(t, c))
+            per_element.update(
+                (t.table, c, a)
+                for a in range(t.order)
+                if not variants.check_variant_index(s, c, a)[2]
+            )
+    return loop, per_element
+
+
+def test_variant_index_loop_flags_what_the_per_element_check_flags(monkeypatch):
+    loop, per_element = _flagged_index_bounds()
+    assert loop == per_element == set()
+    # with each "variant" the base table itself, both flag the same triples
+    for module in (checks, variants):
+        monkeypatch.setattr(module, "variant", lambda t, c: t)
+    loop, per_element = _flagged_index_bounds()
+    assert loop == per_element != set()
+
+
+def test_variant_index_check_fails_on_a_broken_variant(monkeypatch):
+    monkeypatch.setattr(checks, "variant", lambda t, c: t)
+    outcome = checks.check_variant_index_bounds()
+    assert not outcome.ok
+    assert int(outcome.detail.split()[0]) > 0

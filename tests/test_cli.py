@@ -203,6 +203,35 @@ def test_enumerate_out_onto_a_file_is_usage_error(tmp_path, capsys):
     assert out.read_text() == "kept\n"
 
 
+def test_enumerate_out_refuses_a_previous_run(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["enumerate", "--order", "3", "--out", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    capsys.readouterr()
+    assert main(["enumerate", "--order", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+    # nothing written, nothing removed: 24 models and their manifest
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["order"] == 3 and len(manifest["models"]) == 24
+    assert sorted(path.name for path in out.glob("model_*.sgp")) == [
+        entry["file"] for entry in manifest["models"]
+    ]
+
+
+def test_enumerate_out_refuses_a_stray_model_and_keeps_other_files(tmp_path, capsys):
+    out = tmp_path / "d"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    assert main(["enumerate", "--order", "2", "--out", str(out)]) == 0
+    assert (out / "notes.txt").read_text() == "kept\n"
+    (out / "manifest.json").unlink()
+    assert main(["enumerate", "--order", "2", "--out", str(out)]) == 2
+    assert "model_0000.sgp" in capsys.readouterr().err
+
+
 def test_enumerate_identities_file(tmp_path, capsys):
     path = tmp_path / "idents.txt"
     path.write_text("# commutativity\n  # an indented comment\nx*y = y*x\n")

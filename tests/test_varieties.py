@@ -280,15 +280,26 @@ def test_basis_kernel_reports_first_failure_like_brute_force():
     assert failing == {0, 1, 2, 3, 4}
 
 
-def test_kernel_cached_by_value():
+def test_variety_basis_prepared_once_and_kernel_cached_by_value():
     varieties._compiled.cache_clear()
+    varieties._e_basis.cache_clear()
     s = pseudoinverse_map(NULL2)
+    # E_2's basis is compiled on the first call and never looked up again;
+    # its members share one report, a failure builds its own
+    holds = [in_E(s, 2) for _ in range(3)]
+    info = varieties._compiled.cache_info()
+    assert (info.misses, info.hits) == (1, 0)
+    assert holds[0] is holds[1] is holds[2] == varieties.VarietyReport("E_2", True)
+    fails = [in_E(s, 1) for _ in range(2)]
+    assert fails[0] == fails[1] and fails[0] is not fails[1] and not fails[0].holds
+    assert varieties._compiled.cache_info().misses == 2
+    # find_counterexample looks its basis of one identity up on every call
+    varieties._compiled.cache_clear()
     for _ in range(3):
         find_counterexample(s, e_identity(2))
         find_counterexample(s, parse_identity("x*x' = x'*x"))
-        in_E(s, 2)  # a new tuple of the same identities on each call
     info = varieties._compiled.cache_info()
-    assert (info.misses, info.hits) == (3, 6)
+    assert (info.misses, info.hits) == (2, 4)
 
 
 def test_equal_identities_hash_equal_and_share_a_kernel():
