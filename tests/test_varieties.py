@@ -280,7 +280,7 @@ def test_basis_kernel_reports_first_failure_like_brute_force():
     assert failing == {0, 1, 2, 3, 4}
 
 
-def test_variety_basis_prepared_once_and_kernel_cached_by_value():
+def test_kernel_cached_by_value():
     varieties._compiled.cache_clear()
     varieties._e_basis.cache_clear()
     s = pseudoinverse_map(NULL2)
