@@ -2,6 +2,9 @@
 built around, re-derived from scratch over the exhaustively enumerated
 corpus of small semigroups.  Each check returns a CheckOutcome; the CLI's
 ``verify-paper`` subcommand and the acceptance tests both run this list.
+
+The order-<=4 checks read one corpus of inputs, never verdicts (``_corpus``);
+each runs its own criteria, once per distinct input where an input recurs.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from itertools import product as iproduct
 from .conjugacy import check_transitivity, conjugacy_classes, primary_conjugacy
 from .core import (
     CayleyTable,
+    UnarySemigroup,
     _invariants,
     _isomorphism_search,
     canonical_form,
@@ -30,7 +34,7 @@ from .epigroup import (
 )
 from .green import green, is_group_h_class
 from .search import ReproductionFailed, reproduce_v1_census, semigroup_tables
-from .variants import check_pseudoinverse_transport, star, unary_variant, variant
+from .variants import check_pseudoinverse_transport, star, variant
 from .varieties import (
     EQ_COMMUTE,
     EQ_PINV_FIXED,
@@ -42,7 +46,6 @@ from .varieties import (
     in_V,
     in_W,
     in_W_structural,
-    satisfies,
 )
 
 
@@ -53,8 +56,16 @@ class CheckOutcome:
     detail: str
 
 
-def _tables_up_to(order):
-    return [t for k in range(1, order + 1) for t in semigroup_tables(k)]
+@lru_cache(maxsize=None)
+def _corpus():
+    """``(s, uvs)`` for every table of order <= 4 in ``semigroup_tables``
+    order: s its pseudoinverse map, ``uvs[c]`` its unary variant at c, whose
+    base is the plain variant at c (built through this module's ``variant``)."""
+    return tuple(
+        (s, tuple(UnarySemigroup(variant(s.base, c), star(s, c)) for c in range(s.order)))
+        for order in range(1, 5)
+        for s in map(pseudoinverse_map, semigroup_tables(order))
+    )
 
 
 def check_v1_census():
@@ -101,8 +112,7 @@ def check_pseudoinverse_identities():
     (primes 2 and 3) on every semigroup of order <= 4."""
     failures = 0
     total = 0
-    for t in _tables_up_to(4):
-        s = pseudoinverse_map(t)
+    for s, _ in _corpus():
         for ident, env in verify_epigroup_identities(s):
             total += 1
             if env is not None:
@@ -118,15 +128,13 @@ def check_transport():
     """(xc)' = x*c and cx** = (cx)'' hold everywhere, and the star map of
     every unary variant equals the variant table's own pseudoinverse map."""
     bad = []
-    for t in _tables_up_to(4):
-        s = pseudoinverse_map(t)
-        for c in range(t.order):
+    for s, uvs in _corpus():
+        for c, uv in enumerate(uvs):
             report = check_pseudoinverse_transport(s, c)
             if not report.ok:
-                bad.append((t.table, c, report.witness))
-                continue
-            if star(s, c) != pseudoinverse_map(variant(t, c)).unary:
-                bad.append((t.table, c, "star != variant pseudoinverse"))
+                bad.append((s.base.table, c, report.witness))
+            elif uv.unary != pseudoinverse_map(uv.base).unary:
+                bad.append((s.base.table, c, "star != variant pseudoinverse"))
     return CheckOutcome(
         "pseudoinverse-transport", not bad, f"{len(bad)} failures" if bad else "all pass"
     )
@@ -137,8 +145,8 @@ def check_variety_chain():
     order <= 4, with concrete strictness witnesses at every step."""
     problems = []
     witness_v1_not_e1 = witness_w_not_v1 = witness_e2_not_w = None
-    for t in _tables_up_to(4):
-        s = pseudoinverse_map(t)
+    for s, _ in _corpus():
+        t = s.base
         e1 = in_E(s, 1).holds
         v1 = in_V(s, 1).holds
         w = in_W(s).holds
@@ -181,14 +189,12 @@ def check_variant_variety_closure():
     """Unary variants stay inside V_n; variants of completely regular or
     W-semigroups land in V_1."""
     violations = 0
-    for t in _tables_up_to(4):
-        s = pseudoinverse_map(t)
+    for s, uvs in _corpus():
         v2 = in_V(s, 2).holds
         # each variant is claimed to be in V_1 once for a member of V_1 and
         # once more for a completely regular or W table; one test serves both
-        claims = in_V(s, 1).holds + (is_completely_regular(t) or in_W(s).holds)
-        for c in range(t.order):
-            uv = unary_variant(s, c)
+        claims = in_V(s, 1).holds + (is_completely_regular(s.base) or in_W(s).holds)
+        for uv in uvs:
             if claims and not in_V(uv, 1).holds:
                 violations += claims
             if v2 and not in_V(uv, 2).holds:
@@ -219,18 +225,22 @@ def check_w_variant_conjugacy():
     that re-verifies against an independent relation."""
     problems = []
     nontransitive_orders = set()
-    for t in _tables_up_to(4):
-        in_w = in_W_structural(t)
-        for table in [t] + [variant(t, c) for c in range(t.order)]:
-            report = check_transitivity(table)
-            if in_w and not report.transitive:
-                problems.append(("W variant not transitive", t.table))
-            if not report.transitive:
-                a, b, c3 = report.witness
-                oracle = _conjugacy_oracle(table)
-                if not (oracle[a][b] and oracle[b][c3] and not oracle[a][c3]):
-                    problems.append(("bad witness", table.table, report.witness))
-                nontransitive_orders.add(table.order)
+    # each distinct table and variant, flagged if some source is in W
+    from_w = {}
+    for s, uvs in _corpus():
+        in_w = in_W_structural(s.base)
+        for table in [s.base] + [uv.base for uv in uvs]:
+            from_w[table] = from_w.get(table, False) or in_w
+    for table, in_w in from_w.items():
+        report = check_transitivity(table)
+        if not report.transitive:
+            if in_w:
+                problems.append(("W variant not transitive", table.table))
+            a, b, c3 = report.witness
+            oracle = _conjugacy_oracle(table)
+            if not (oracle[a][b] and oracle[b][c3] and not oracle[a][c3]):
+                problems.append(("bad witness", table.table, report.witness))
+            nontransitive_orders.add(table.order)
     finding = (
         f"non-transitive examples seen at orders {sorted(nontransitive_orders)}"
         if nontransitive_orders
@@ -239,26 +249,18 @@ def check_w_variant_conjugacy():
     return CheckOutcome("w-variant-conjugacy", not problems, finding)
 
 
-def _variant_index_violations(t, c):
-    """The elements a whose index in the variant of t at c is neither n nor
-    n+1, n the index of ca in t: ``variants.check_variant_index`` over every
-    a, with the variant built and its indices read once."""
-    base = epigroup_data(t).index
-    row = t.table[c]
-    return [
-        a
-        for a, k in enumerate(epigroup_data(variant(t, c)).index)
-        if k not in (base[row[a]], base[row[a]] + 1)
-    ]
-
-
 def check_variant_index_bounds():
     """In every variant, the index of a is n or n+1 where n is the base
-    index of ca."""
+    index of ca: ``variants.check_variant_index`` over every a, with each
+    variant's indices read once."""
     violations = 0
-    for t in _tables_up_to(4):
-        for c in range(t.order):
-            violations += len(_variant_index_violations(t, c))
+    for s, uvs in _corpus():
+        base = epigroup_data(s.base).index
+        for row, uv in zip(s.base.table, uvs):
+            violations += sum(
+                k not in (base[row[a]], base[row[a]] + 1)
+                for a, k in enumerate(epigroup_data(uv.base).index)
+            )
     return CheckOutcome("variant-index-bounds", violations == 0, f"{violations} violations")
 
 
@@ -360,6 +362,9 @@ def _e_alt_basis(alt):
     return _compiled((EQ_PINV_FIXED, EQ_COMMUTE, alt))
 
 
+_PRODUCT_STABLE_BASIS = _compiled((EQ_PRODUCT_STABLE,))
+
+
 def _variety_disagreements(s):
     """The failures, on s, of the equivalences and inclusions that
     ``check_oracles`` lists, each criterion computed once."""
@@ -381,7 +386,7 @@ def _variety_disagreements(s):
         t = s.base
         tab = t.table
         w = {
-            "E2-based": e[2] and satisfies(s, EQ_PRODUCT_STABLE),
+            "E2-based": e[2] and _first_failure(s, _PRODUCT_STABLE_BASIS) is None,
             "equational": in_W(s).holds,
             "products": in_W_structural(t),
             "left ideals": all(
@@ -404,9 +409,9 @@ def check_oracles():
     """Search completeness at order <= 3 against brute force; isomorphism
     search agrees with canonical forms on all order-<=4 pairs; conjugacy
     classes on the corpus match an independent oracle.  On every order-<=4
-    table with its pseudoinverse map and on each unary variant: ``in_E``
-    agrees with x^{n-1} x'' = x^n (n <= 3) and E_n <= V_n <= E_{n+1} holds
-    (n <= 2); on the pseudoinverse map, E_2 plus (xy)'' = xy, ``in_W``,
+    table with its pseudoinverse map and on each distinct unary variant:
+    ``in_E`` agrees with x^{n-1} x'' = x^n (n <= 3) and E_n <= V_n <= E_{n+1}
+    holds (n <= 2); on the pseudoinverse map, E_2 plus (xy)'' = xy, ``in_W``,
     ``in_W_structural``, and "every Sc, every cS completely regular" agree.
     On every distinct table among those and their variants, the index,
     pseudoinverse and unit that ``epigroup_data`` reads off powers equal
@@ -460,19 +465,13 @@ def check_oracles():
         expected = sorted(tuple(sorted(v)) for v in expected.values())
         if sorted(conjugacy_classes(t)) != expected:
             problems.append(f"conjugacy classes mismatch on {name}")
-    seen = set()
-    for t in _tables_up_to(4):
-        s = pseudoinverse_map(t)
-        for model in [s] + [unary_variant(s, c) for c in range(t.order)]:
-            problems.extend(_variety_disagreements(model))
-            base = model.base
-            if base not in seen:
-                seen.add(base)
-                problems.extend(_green_disagreements(base))
-                if epigroup_data(base) != _epigroup_oracle(base):
-                    problems.append(
-                        f"epigroup_data and Green's relations disagree at order {base.order}"
-                    )
+    models = dict.fromkeys(model for s, uvs in _corpus() for model in (s, *uvs))
+    for model in models:
+        problems.extend(_variety_disagreements(model))
+    for base in dict.fromkeys(model.base for model in models):
+        problems.extend(_green_disagreements(base))
+        if epigroup_data(base) != _epigroup_oracle(base):
+            problems.append(f"epigroup_data and Green's relations disagree at order {base.order}")
     detail = "; ".join(dict.fromkeys(problems)) or "all agree"
     return CheckOutcome("oracle-equivalences", not problems, detail)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import TABLE_CACHE_SIZE, UnarySemigroup, _powers
-from .varieties import find_counterexample, parse_identity
+from .varieties import _compiled, _first_failure, parse_identity
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,11 @@ PSEUDOINVERSE_IDENTITIES = tuple(
 
 
 @lru_cache(maxsize=16)
-def _power_identities(primes):
-    """(x^p)' = x'^p for each p in primes, parsed once per primes value."""
-    return tuple(parse_identity(f"(x^{p})' = x'^{p}") for p in primes)
+def _identity_bases(primes):
+    """(identity, its one-identity basis) for the five identities above and
+    (x^p)' = x'^p for each p in primes, parsed and compiled once per primes."""
+    powers = tuple(parse_identity(f"(x^{p})' = x'^{p}") for p in primes)
+    return tuple((ident, _compiled((ident,))) for ident in PSEUDOINVERSE_IDENTITIES + powers)
 
 
 def verify_epigroup_identities(s, primes=(2, 3)):
@@ -84,5 +86,8 @@ def verify_epigroup_identities(s, primes=(2, 3)):
     is the pseudoinverse.  Returns a list of (identity, counterexample) with
     counterexample None on success.
     """
-    identities = PSEUDOINVERSE_IDENTITIES + _power_identities(tuple(primes))
-    return [(ident, find_counterexample(s, ident)) for ident in identities]
+    results = []
+    for ident, basis in _identity_bases(tuple(primes)):
+        hit = _first_failure(s, basis)
+        results.append((ident, None if hit is None else hit[1]))
+    return results

@@ -313,10 +313,6 @@ def _report(s, prepared):
     return VarietyReport(holds.name, False, *hit)
 
 
-def _check_identities(name, s, identities):
-    return _report(s, _prepared(name, identities))
-
-
 EQ_PINV_FIXED = parse_identity("x'*x*x' = x'")
 EQ_COMMUTE = parse_identity("x*x' = x'*x")
 

@@ -5,12 +5,15 @@ line so the run log doubles as a checklist (use ``pytest -s`` to see the
 lines as they happen).
 """
 
+from collections import Counter
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 
 from epivariants import checks, variants
-from epivariants.epigroup import EpigroupData, pseudoinverse_map
+from epivariants.corpus import load_corpus
+from epivariants.epigroup import EpigroupData
 from epivariants.varieties import VarietyReport, parse_identity
 
 CHECKS = {fn.__name__: fn for fn in checks.ALL_CHECKS}
@@ -26,6 +29,76 @@ def test_acceptance(name, capsys):
 
 def test_every_check_is_covered():
     assert len(CHECKS) == 10
+
+
+# every check's (name, ok, detail), as ``verify-paper`` prints them
+PAPER_DETAILS = [
+    (
+        "v1-census",
+        True,
+        "counts {1: 0, 2: 0, 3: 0, 4: 3}, matching {'v1_nonvariant_a.sgp': 0, "
+        "'v1_nonvariant_b.sgp': 1, 'v1_nonvariant_c.sgp': 2}",
+    ),
+    ("w-witness", True, "0''*1 = 2 != 3 = 0*1"),
+    ("pseudoinverse-identities", True, "1526 identity checks, 0 failures"),
+    ("pseudoinverse-transport", True, "all pass"),
+    (
+        "variety-chain",
+        True,
+        "strict witnesses: V1\\E1 ((0, 0), (0, 0)), "
+        "W\\V1 ((0, 0, 0, 0), (0, 0, 0, 2), (2, 2, 2, 2), (3, 3, 3, 3)), "
+        "E2\\W ((0, 0, 0), (0, 0, 0), (0, 1, 2))",
+    ),
+    ("variant-variety-closure", True, "0 violations"),
+    ("w-variant-conjugacy", True, "non-transitive examples seen at orders [4]"),
+    ("variant-index-bounds", True, "0 violations"),
+    ("oracle-equivalences", True, "all agree"),
+    ("group-sanity", True, "all pass"),
+]
+
+
+def test_verify_paper_details_are_pinned():
+    assert [(o.name, o.ok, o.detail) for o, _ in checks.run_all()] == PAPER_DETAILS
+
+
+def _rebuild_corpus(monkeypatch):
+    """A fresh corpus for this test, built on first use under its patches;
+    the shared one is back after the test."""
+    monkeypatch.setattr(checks, "_corpus", lru_cache(checks._corpus.__wrapped__))
+
+
+def _spy(monkeypatch, name):
+    """The argument tuple of every later call of ``checks.<name>``."""
+    calls = []
+    real = getattr(checks, name)
+
+    def spied(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(checks, name, spied)
+    return calls
+
+
+def test_run_all_builds_each_input_once(monkeypatch):
+    # a cold run: the corpus is built inside run_all
+    _rebuild_corpus(monkeypatch)
+    built = _spy(monkeypatch, "variant")
+    transitivity = _spy(monkeypatch, "check_transitivity")
+    disagreements = _spy(monkeypatch, "_variety_disagreements")
+    assert all(outcome.ok for outcome, _ in checks.run_all())
+    corpus = checks._corpus()
+    # each (t, c) of the corpus once; group-sanity builds its groups' own
+    expected = Counter((s.base, c) for s, _ in corpus for c in range(s.order))
+    groups = [load_corpus(name) for name in ("z2.sgp", "z3.sgp", "s3.sgp")]
+    expected.update((t, c) for t in groups for c in range(t.order))
+    assert Counter(built) == expected
+    # one conjugacy check per distinct table, one oracle sweep per distinct model
+    models = {model for s, uvs in corpus for model in (s, *uvs)}
+    assert len(transitivity) == len(set(transitivity)) == 290
+    assert set(transitivity) == {(model.base,) for model in models}
+    assert len(disagreements) == len(set(disagreements)) == 477
+    assert set(disagreements) == {(model,) for model in models}
 
 
 def test_oracle_check_searches_every_pair(monkeypatch):
@@ -78,36 +151,42 @@ def test_oracle_check_reports_each_variety_disagreement(monkeypatch, name, patch
     assert not outcome.ok
     for message in messages:
         assert message in outcome.detail
+    monkeypatch.undo()
+    assert checks.check_oracles().ok
 
 
-def _flagged_index_bounds():
-    """(the (t, c, a) that ``check_variant_index_bounds``'s loop flags, the
-    ones that ``variants.check_variant_index`` flags one a at a time)."""
-    loop, per_element = set(), set()
-    for t in checks._tables_up_to(4):
-        s = pseudoinverse_map(t)
-        for c in range(t.order):
-            loop.update((t.table, c, a) for a in checks._variant_index_violations(t, c))
-            per_element.update(
-                (t.table, c, a)
-                for a in range(t.order)
-                if not variants.check_variant_index(s, c, a)[2]
-            )
-    return loop, per_element
+def _index_bound_violations():
+    """(the violations ``check_variant_index_bounds`` counts, the (t, c, a)
+    of the corpus that ``variants.check_variant_index`` flags one a at a
+    time)."""
+    outcome = checks.check_variant_index_bounds()
+    per_element = {
+        (s.base.table, c, a)
+        for s, _ in checks._corpus()
+        for c in range(s.order)
+        for a in range(s.order)
+        if not variants.check_variant_index(s, c, a)[2]
+    }
+    return int(outcome.detail.split()[0]), per_element
 
 
 def test_variant_index_loop_flags_what_the_per_element_check_flags(monkeypatch):
-    loop, per_element = _flagged_index_bounds()
-    assert loop == per_element == set()
-    # with each "variant" the base table itself, both flag the same triples
+    count, per_element = _index_bound_violations()
+    assert count == len(per_element) == 0
+    # with each "variant" the base table itself, both flag as many triples
     for module in (checks, variants):
         monkeypatch.setattr(module, "variant", lambda t, c: t)
-    loop, per_element = _flagged_index_bounds()
-    assert loop == per_element != set()
+    _rebuild_corpus(monkeypatch)
+    count, per_element = _index_bound_violations()
+    assert count == len(per_element) == 116
+    monkeypatch.undo()
+    assert _index_bound_violations() == (0, set())
 
 
 def test_variant_index_check_fails_on_a_broken_variant(monkeypatch):
     monkeypatch.setattr(checks, "variant", lambda t, c: t)
+    _rebuild_corpus(monkeypatch)
     outcome = checks.check_variant_index_bounds()
-    assert not outcome.ok
-    assert int(outcome.detail.split()[0]) > 0
+    assert (outcome.ok, outcome.detail) == (False, "116 violations")
+    monkeypatch.undo()
+    assert checks.check_variant_index_bounds().ok

@@ -41,6 +41,21 @@ def test_only_core_calls_adjoin_identity():
     assert callers <= {"core"}, callers
 
 
+def test_checks_enumerate_tables_only_in_the_corpus_and_the_oracle_sweep():
+    # the checks read one corpus: only _corpus and check_oracles (its brute
+    # force comparison and its isomorphism sweep) name semigroup_tables
+    tree = ast.parse((Path(epivariants.__file__).parent / "checks.py").read_text())
+    users = set()
+    for top in tree.body:
+        if isinstance(top, ast.ImportFrom):
+            continue
+        for node in ast.walk(top):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if isinstance(node, (ast.Name, ast.Attribute)) and name == "semigroup_tables":
+                users.add(getattr(top, "name", "<module>"))
+    assert users == {"_corpus", "check_oracles"}, users
+
+
 MARK = "_validated"  # the attribute validate sets on a table that passes
 SETTERS = ("setattr", "__setattr__", "delattr", "__delattr__")
 
