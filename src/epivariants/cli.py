@@ -323,6 +323,7 @@ def cmd_enumerate(args, argv):
 def cmd_verify_paper(args, argv):
     rb = ReportBuilder(argv)
     stream = None if args.json else sys.stdout
+    rb.report["data"]["corpus_seconds"] = checks_module.build_corpus()
     results = checks_module.run_all(stream=stream)
     for outcome, seconds in results:
         rb.add(outcome.name, "pass" if outcome.ok else "fail", detail=outcome.detail)

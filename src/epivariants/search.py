@@ -249,9 +249,7 @@ def resolve_filter(name):
     if base_name in _TABLE_FILTERS:
         pred = _TABLE_FILTERS[base_name]
     elif base_name == "variant_of_CR":
-        from .variants import is_unary_variant_of_completely_regular
-
-        pred = lambda m: is_unary_variant_of_completely_regular(m) is not None
+        from .variants import is_variant_of_cr as pred
     else:
         try:
             test = variety_test(base_name)

@@ -96,6 +96,16 @@ def _cr_variant_index(n):
     return index
 
 
+def is_variant_of_cr(s):
+    """Whether s is isomorphic to a unary variant of a completely regular
+    semigroup of its order, c in T^1: one canonical-form lookup in the
+    index of ``is_unary_variant_of_completely_regular``, with no isomorphism
+    search.  Orders above the enumeration cap raise CapExceeded before the
+    form is computed."""
+    index = _cr_variant_index(s.order)
+    return canonical_form(s) in index
+
+
 def is_unary_variant_of_completely_regular(s):
     """Find a completely regular semigroup T of the same order and a
     sandwich element c whose unary variant is isomorphic to s.
@@ -105,12 +115,14 @@ def is_unary_variant_of_completely_regular(s):
     counts as a (trivial) variant.  Returns (T, c, isomorphism) with c = None
     for the trivial sandwich, or None when no witness exists.
 
-    The first call at an order indexes the unary variants of that order's
-    completely regular semigroups by canonical form, so each call is one
-    lookup plus one isomorphism search on the hit.  The witness is the
-    first (T, c) in ``semigroup_tables`` order, c before the adjoined
+    It reads the index that ``is_variant_of_cr`` reads: the first call at an
+    order indexes the unary variants of that order's completely regular
+    semigroups by canonical form.  A miss costs that lookup alone; only a
+    hit runs an isomorphism search, to build the witness.  The witness is
+    the first (T, c) in ``semigroup_tables`` order, c before the adjoined
     identity, that a linear scan would find.  Orders above the enumeration
-    cap of ``semigroup_tables`` raise CapExceeded.
+    cap of ``semigroup_tables`` raise CapExceeded.  A caller that needs the
+    yes/no answer alone calls ``is_variant_of_cr``.
     """
     hit = _cr_variant_index(s.order).get(canonical_form(s))
     if hit is None:

@@ -101,6 +101,44 @@ def test_run_all_builds_each_input_once(monkeypatch):
     assert set(disagreements) == {(model,) for model in models}
 
 
+def test_run_all_builds_the_corpus_before_any_check(monkeypatch):
+    # a cold run: no check's seconds include the corpus build
+    _rebuild_corpus(monkeypatch)
+    built_on_entry = {}
+
+    def entered(fn):
+        def check():
+            built_on_entry[fn.__name__] = checks._corpus.cache_info().currsize == 1
+            return fn()
+
+        return check
+
+    monkeypatch.setattr(checks, "ALL_CHECKS", [entered(fn) for fn in checks.ALL_CHECKS])
+    assert checks._corpus.cache_info().currsize == 0
+    assert all(outcome.ok for outcome, _ in checks.run_all())
+    # the first check, and the first one that reads the corpus, included
+    assert built_on_entry == dict.fromkeys(CHECKS, True)
+
+
+def test_closure_check_tests_each_distinct_variant_once(monkeypatch):
+    # 2 criteria on each of the 218 tables, then V_1 and V_2 once each on the
+    # distinct variants claimed for them (434 of 2 x 259), not on all 835
+    calls = _spy(monkeypatch, "in_V")
+    assert checks.check_variant_variety_closure().ok
+    assert len(calls) == 870
+
+
+def test_closure_check_counts_each_claim_on_a_failing_variant(monkeypatch):
+    # with each "variant" the base table itself, a failure counts every claim
+    # on it, as a test per source table and sandwich element would
+    monkeypatch.setattr(checks, "variant", lambda t, c: t)
+    _rebuild_corpus(monkeypatch)
+    outcome = checks.check_variant_variety_closure()
+    assert (outcome.ok, outcome.detail) == (False, "988 violations")
+    monkeypatch.undo()
+    assert checks.check_variant_variety_closure().ok
+
+
 def test_oracle_check_searches_every_pair(monkeypatch):
     # the isomorphism search runs on every pair of order <= 4, whatever the
     # canonical forms say: 1 + 15 + 300 + 17,766 pairs

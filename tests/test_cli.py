@@ -251,6 +251,18 @@ def test_verify_paper_json(capsys):
     assert all(c["status"] == "pass" for c in report["checks"])
 
 
+def test_verify_paper_reports_corpus_build(capsys, monkeypatch):
+    from functools import lru_cache
+
+    from epivariants import checks
+
+    monkeypatch.setattr(checks, "_corpus", lru_cache(checks._corpus.__wrapped__))
+    code, report = run_json(capsys, ["verify-paper", "--json"])
+    assert code == 0
+    seconds = report["data"]["corpus_seconds"]
+    assert isinstance(seconds, float) and seconds >= 0
+
+
 def test_verify_paper_reports_broken_check(capsys, monkeypatch):
     from epivariants import checks
 

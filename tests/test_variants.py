@@ -1,10 +1,11 @@
 import dataclasses
 import pickle
 import random
+from functools import lru_cache
 
 import pytest
 
-from epivariants import core
+from epivariants import checks, core, search, variants
 from epivariants.core import (
     CapExceeded,
     CayleyTable,
@@ -15,11 +16,17 @@ from epivariants.core import (
 )
 from epivariants.corpus import load_corpus
 from epivariants.epigroup import is_completely_regular, pseudoinverse_map
-from epivariants.search import SearchSpec, enumerate_models, semigroup_tables
+from epivariants.search import (
+    SearchSpec,
+    enumerate_models,
+    reproduce_v1_census,
+    semigroup_tables,
+)
 from epivariants.variants import (
     check_pseudoinverse_transport,
     check_variant_index,
     is_unary_variant_of_completely_regular,
+    is_variant_of_cr,
     star,
     unary_variant,
     variant,
@@ -277,15 +284,46 @@ def linear_scan_witness(s):
     return None
 
 
-def test_indexed_witness_matches_linear_scan():
-    candidates = [
+def _order_4_v1_models():
+    return [
         m for order in (1, 2, 3, 4)
         for m in map(pseudoinverse_map, semigroup_tables(order))
         if in_V(m, 1).holds
     ]
+
+
+def test_indexed_witness_matches_linear_scan():
+    candidates = _order_4_v1_models()
     assert len(candidates) == 133
     for m in candidates:
         assert is_unary_variant_of_completely_regular(m) == linear_scan_witness(m)
+
+
+def test_membership_answers_as_the_witness_does():
+    candidates = _order_4_v1_models()
+    unary_variants = [uv for _, uvs in checks._corpus() for uv in uvs]
+    assert (len(candidates), len(unary_variants)) == (133, 835)
+    for m in candidates + unary_variants:
+        assert is_variant_of_cr(m) == (is_unary_variant_of_completely_regular(m) is not None)
+
+
+def test_cold_census_searches_isomorphisms_for_its_matching_only(monkeypatch):
+    # the filter asks membership; only the sweep that matches the three
+    # references against the three order-4 models builds isomorphisms
+    monkeypatch.setattr(
+        variants, "_cr_variant_index", lru_cache(variants._cr_variant_index.__wrapped__)
+    )
+    calls = []
+
+    def counted(s, t):
+        calls.append((s, t))
+        return find_isomorphism(s, t)
+
+    for module in (variants, search):
+        monkeypatch.setattr(module, "find_isomorphism", counted)
+    _, report = reproduce_v1_census()
+    assert report["counts_by_order"] == {1: 0, 2: 0, 3: 0, 4: 3}
+    assert len(calls) == 9
 
 
 def _order_5_v1_models():
