@@ -7,27 +7,20 @@ from .core import (
     EntryOutOfRange,
     NotAssociative,
     SemigroupError,
-    Transformation,
     UnarySemigroup,
-    adjoin_identity,
     canonical_form,
-    compose,
     emit_semigroup,
     find_isomorphism,
-    generate_from_transformations,
     identity_of,
     load_semigroup,
     parse_semigroup,
-    product,
     validate,
 )
 from .green import GreenStructure, green, idempotents, is_group_h_class
 from .epigroup import (
     EpigroupData,
-    element_index,
     epigroup_data,
     is_completely_regular,
-    pseudoinverse,
     pseudoinverse_map,
     verify_epigroup_identities,
 )
@@ -46,7 +39,6 @@ from .varieties import (
 )
 from .variants import (
     check_pseudoinverse_transport,
-    check_variant_index,
     is_unary_variant_of_completely_regular,
     star,
     unary_variant,

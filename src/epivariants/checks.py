@@ -257,8 +257,7 @@ def check_w_variant_conjugacy():
 
 def check_variant_index_bounds():
     """In every variant, the index of a is n or n+1 where n is the base
-    index of ca: ``variants.check_variant_index`` over every a, with each
-    variant's indices read once."""
+    index of ca, with each variant's indices read once."""
     violations = 0
     for s, uvs in _corpus():
         base = epigroup_data(s.base).index

@@ -17,9 +17,6 @@ class BinaryRelation:
     order: int
     bits: tuple  # n x n boolean matrix
 
-    def holds(self, a, b):
-        return self.bits[a][b]
-
 
 @dataclass(frozen=True)
 class ConjugacyReport:

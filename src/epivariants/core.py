@@ -1,5 +1,5 @@
-"""Finite semigroups as Cayley tables: validation, powers, closure generation,
-isomorphism testing and canonical forms.
+"""Finite semigroups as Cayley tables: validation, powers, isomorphism
+testing and canonical forms.
 
 Elements are dense integer indices 0..n-1.  Entry (row a, column b) of the
 table holds the product a*b.  Associativity is a checked invariant, never
@@ -131,21 +131,6 @@ def validate(t):
     return t
 
 
-def validate_unary(s):
-    validate(s.base)
-    n = s.order
-    if len(s.unary) != n:
-        raise SemigroupError(f"unary map has length {len(s.unary)}, expected {n}")
-    for a, v in enumerate(s.unary):
-        if not isinstance(v, int) or not 0 <= v < n:
-            raise EntryOutOfRange(("unary", a), v)
-    return s
-
-
-def product(t, a, b):
-    return t.table[a][b]
-
-
 def identity_of(t):
     """The two-sided identity element, or None."""
     n = t.order
@@ -154,79 +139,6 @@ def identity_of(t):
         if all(tab[e][x] == x == tab[x][e] for x in range(n)):
             return e
     return None
-
-
-def adjoin_identity(t):
-    """S^1: return t unchanged if it is already a monoid, otherwise adjoin a
-    new identity element with index n."""
-    if identity_of(t) is not None:
-        return t
-    n = t.order
-    rows = [list(row) + [a] for a, row in enumerate(t.table)]
-    rows.append(list(range(n + 1)))
-    return CayleyTable(rows)
-
-
-@dataclass(frozen=True)
-class Transformation:
-    """A self-map of {0, ..., degree-1}."""
-
-    degree: int
-    images: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        if len(self.images) != self.degree:
-            raise ValueError("image list does not match degree")
-        for v in self.images:
-            if not 0 <= v < self.degree:
-                raise ValueError(f"image {v} out of range for degree {self.degree}")
-
-    def __call__(self, x):
-        return self.images[x]
-
-
-def compose(f, g):
-    """(f*g)(x) = g(f(x)): left-to-right action."""
-    if f.degree != g.degree:
-        raise ValueError("degrees differ")
-    return Transformation(f.degree, tuple(g.images[v] for v in f.images))
-
-
-def generate_from_transformations(gens, cap=10000):
-    """Close a generating set of transformations under composition.
-
-    Elements are ordered breadth-first over products in generator order.
-    Returns (CayleyTable, labels) where labels[i] is the transformation
-    realizing element i.
-    """
-    if not gens:
-        raise ValueError("at least one generator is required")
-    degree = gens[0].degree
-    for g in gens:
-        if g.degree != degree:
-            raise ValueError("generators must share one degree")
-    elements = []
-    index = {}
-    for g in gens:
-        if g not in index:
-            index[g] = len(elements)
-            elements.append(g)
-    frontier = list(elements)
-    while frontier:
-        new = []
-        for f in frontier:
-            for g in gens:
-                h = compose(f, g)
-                if h not in index:
-                    if len(elements) >= cap:
-                        raise CapExceeded(f"closure exceeds cap {cap}")
-                    index[h] = len(elements)
-                    elements.append(h)
-                    new.append(h)
-        frontier = new
-    rows = [[index[compose(f, g)] for g in elements] for f in elements]
-    return CayleyTable.from_rows(rows), tuple(elements)
 
 
 def table_of(model):
@@ -554,19 +466,28 @@ def canonical_form(s):
 # ---------------------------------------------------------------------------
 # Text format: first line n >= 1, then n rows of n space-separated integers,
 # optionally a line "unary: i0 i1 ... i(n-1)", which must be the last line.
-# '#' starts a comment line.
+# '#' starts a comment line.  An integer is an optional sign and ASCII digits.
 
 def _integers(lineno, line):
     """The whitespace-separated integers of input line ``lineno``."""
     tokens = line.split()
-    try:
-        return tuple(map(int, tokens))
-    except ValueError:
-        bad = next(tok for tok in tokens if not _is_integer(tok))
-        raise SemigroupError(f"line {lineno}: {bad!r} is not an integer") from None
+    if line.isascii() and "_" not in line:
+        try:
+            return tuple(map(int, tokens))
+        except ValueError:
+            pass
+    for tok in tokens:
+        if not _is_integer(tok):
+            raise SemigroupError(f"line {lineno}: {tok!r} is not an integer")
+    return tuple(map(int, tokens))
 
 
 def _is_integer(token):
+    """Whether token is an optional sign and ASCII digits.  int() reads
+    those, and on an ASCII token without underscores nothing else; it also
+    reads underscores between digits and non-ASCII digits."""
+    if not token.isascii() or "_" in token:
+        return False
     try:
         int(token)
     except ValueError:
@@ -583,10 +504,9 @@ def parse_semigroup(text):
     if not lines:
         raise SemigroupError("empty input")
     lineno, first = lines[0]
-    try:
-        n = int(first)
-    except ValueError:
-        raise SemigroupError(f"line {lineno}: order {first!r} is not an integer") from None
+    if not _is_integer(first):
+        raise SemigroupError(f"line {lineno}: order {first!r} is not an integer")
+    n = int(first)
     if n < 1:
         raise SemigroupError(f"order must be a positive integer, got {n}")
     if len(lines) < n + 1:
@@ -612,9 +532,12 @@ def parse_semigroup(text):
             raise SemigroupError(f"unexpected line after the unary map: {rest[1]!r}")
         unary = _integers(lines[1 + n][0], rest[0][len("unary:"):])
         validate(t)  # the canonical flag below needs a genuine semigroup
+        if len(unary) != n:
+            raise SemigroupError(f"unary map has length {len(unary)}, expected {n}")
+        for a, v in enumerate(unary):
+            if not 0 <= v < n:
+                raise EntryOutOfRange(("unary", a), v)
         from .epigroup import pseudoinverse_map  # deferred: epigroup builds on core
-        s = UnarySemigroup(t, unary)
-        validate_unary(s)
         canonical = pseudoinverse_map(t).unary == unary
         return UnarySemigroup(t, unary, canonical=canonical)
     return t

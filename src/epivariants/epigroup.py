@@ -43,14 +43,6 @@ def epigroup_data(t):
     return EpigroupData(index=tuple(index), pseudoinverse=tuple(pinv), unit_of=tuple(unit))
 
 
-def element_index(t, a):
-    return epigroup_data(t).index[a]
-
-
-def pseudoinverse(t, a):
-    return epigroup_data(t).pseudoinverse[a]
-
-
 def pseudoinverse_map(t):
     """The canonical unary semigroup (S, ., ') over t."""
     return UnarySemigroup(t, epigroup_data(t).pseudoinverse, canonical=True)
@@ -61,33 +53,28 @@ def is_completely_regular(t):
     return all(k == 1 for k in epigroup_data(t).index)
 
 
-PSEUDOINVERSE_IDENTITIES = tuple(
-    parse_identity(text)
-    for text in (
+# (identity, its one-identity basis), parsed and compiled once
+_PSEUDOINVERSE_BASES = tuple(
+    (ident, _compiled((ident,)))
+    for ident in map(parse_identity, (
         "x'*x*x' = x'",
         "x*x' = x'*x",
         "x''' = x'",
         "x*x'*x = x''",
         "(x*y)'*x = x*(y*x)'",
-    )
+        "(x^2)' = x'^2",
+        "(x^3)' = x'^3",
+    ))
 )
 
 
-@lru_cache(maxsize=16)
-def _identity_bases(primes):
-    """(identity, its one-identity basis) for the five identities above and
-    (x^p)' = x'^p for each p in primes, parsed and compiled once per primes."""
-    powers = tuple(parse_identity(f"(x^{p})' = x'^{p}") for p in primes)
-    return tuple((ident, _compiled((ident,))) for ident in PSEUDOINVERSE_IDENTITIES + powers)
-
-
-def verify_epigroup_identities(s, primes=(2, 3)):
+def verify_epigroup_identities(s):
     """Check the unary-semigroup identities that hold whenever the unary map
     is the pseudoinverse.  Returns a list of (identity, counterexample) with
     counterexample None on success.
     """
     results = []
-    for ident, basis in _identity_bases(tuple(primes)):
+    for ident, basis in _PSEUDOINVERSE_BASES:
         hit = _first_failure(s, basis)
         results.append((ident, None if hit is None else hit[1]))
     return results

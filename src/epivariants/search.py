@@ -229,7 +229,6 @@ class SearchSpec:
 @dataclass(frozen=True)
 class SearchResult:
     models: tuple
-    counts_by_order: dict
     provenance: dict
 
 
@@ -325,7 +324,6 @@ def enumerate_models(spec):
     elapsed = time.perf_counter() - started
     return SearchResult(
         models=models,
-        counts_by_order={spec.order: len(models)},
         provenance={"spec": spec, "elapsed_seconds": elapsed},
     )
 

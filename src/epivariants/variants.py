@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import CayleyTable, UnarySemigroup, canonical_form, find_isomorphism
-from .epigroup import element_index, is_completely_regular, pseudoinverse_map
+from .epigroup import is_completely_regular, pseudoinverse_map
 from .search import semigroup_tables
 
 
@@ -67,15 +67,6 @@ def check_pseudoinverse_transport(s, c):
         if tab[c][st[st[x]]] != u[u[tab[c][x]]]:
             return CheckReport("pseudoinverse-transport", False, ("cx** = (cx)''", x))
     return CheckReport("pseudoinverse-transport", True)
-
-
-def check_variant_index(s, c, a):
-    """Compare the index of ca in the base with the index of a in the
-    variant; the latter must be n or n+1.  The variant's index is computed
-    from the variant table itself, independently of the star map."""
-    base_index = element_index(s.base, s.base.table[c][a])
-    variant_index = element_index(variant(s.base, c), a)
-    return base_index, variant_index, variant_index in (base_index, base_index + 1)
 
 
 @lru_cache(maxsize=None)

@@ -1,0 +1,41 @@
+"""Test-only builders and references: transformation closures, S^1, and the
+per-element variant-index check."""
+
+from epivariants import variants
+from epivariants.core import CapExceeded, CayleyTable, identity_of
+from epivariants.epigroup import epigroup_data
+
+
+def closure(gens, cap=10000):
+    """The semigroup generated by self-maps of {0, ..., d-1}, given as image
+    lists and composed left to right, (f*g)(x) = g(f(x)).  Elements come
+    breadth-first over products in generator order."""
+    gens = [tuple(g) for g in gens]
+    elements = list(dict.fromkeys(gens))
+    index = {f: i for i, f in enumerate(elements)}
+    for f in elements:  # appended to while it is read: a breadth-first queue
+        for g in gens:
+            h = tuple(g[v] for v in f)
+            if h not in index:
+                if len(elements) >= cap:
+                    raise CapExceeded(f"closure exceeds cap {cap}")
+                index[h] = len(elements)
+                elements.append(h)
+    return CayleyTable.from_rows([[index[tuple(g[v] for v in f)] for g in elements] for f in elements])
+
+
+def adjoin_identity(t):
+    """S^1: t itself if it is a monoid, else t with a new identity n."""
+    if identity_of(t) is not None:
+        return t
+    rows = [list(row) + [a] for a, row in enumerate(t.table)]
+    return CayleyTable(rows + [list(range(t.order + 1))])
+
+
+def check_variant_index(s, c, a):
+    """(index of ca in the base, index of a in the variant, whether the
+    latter is the former or one more), the variant's index read off the
+    variant table itself, independently of the star map."""
+    base_index = epigroup_data(s.base).index[s.base.table[c][a]]
+    variant_index = epigroup_data(variants.variant(s.base, c)).index[a]
+    return base_index, variant_index, variant_index in (base_index, base_index + 1)

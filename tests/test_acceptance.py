@@ -16,6 +16,8 @@ from epivariants.corpus import load_corpus
 from epivariants.epigroup import EpigroupData
 from epivariants.varieties import VarietyReport, parse_identity
 
+from _tables import check_variant_index
+
 CHECKS = {fn.__name__: fn for fn in checks.ALL_CHECKS}
 
 
@@ -195,15 +197,14 @@ def test_oracle_check_reports_each_variety_disagreement(monkeypatch, name, patch
 
 def _index_bound_violations():
     """(the violations ``check_variant_index_bounds`` counts, the (t, c, a)
-    of the corpus that ``variants.check_variant_index`` flags one a at a
-    time)."""
+    of the corpus that ``check_variant_index`` flags one a at a time)."""
     outcome = checks.check_variant_index_bounds()
     per_element = {
         (s.base.table, c, a)
         for s, _ in checks._corpus()
         for c in range(s.order)
         for a in range(s.order)
-        if not variants.check_variant_index(s, c, a)[2]
+        if not check_variant_index(s, c, a)[2]
     }
     return int(outcome.detail.split()[0]), per_element
 

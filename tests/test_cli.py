@@ -296,6 +296,10 @@ def test_verify_paper_reports_census_failure(capsys, monkeypatch):
     ("x\n0\n", "line 1: order 'x' is not an integer"),
     ("# a comment\n2\n0 1\n1 0.5\n", "line 4: '0.5' is not an integer"),
     ("1\n0\nunary: y\n", "line 3: 'y' is not an integer"),
+    ("2\n0 0\n0 0_1\n", "line 3: '0_1' is not an integer"),
+    ("2\n0 0\n0 ١\n", "line 3: '١' is not an integer"),
+    ("0_2\n0 0\n0 0\n", "line 1: order '0_2' is not an integer"),
+    ("2\n0 0\n0 0\nunary: 0 0_1\n", "line 4: '0_1' is not an integer"),
 ])
 def test_validate_non_integer_is_usage_error(tmp_path, capsys, text, message):
     path = tmp_path / "bad.sgp"

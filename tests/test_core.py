@@ -11,24 +11,20 @@ from epivariants.core import (
     EntryOutOfRange,
     NotAssociative,
     SemigroupError,
-    Transformation,
     UnarySemigroup,
     _element_signatures,
-    adjoin_identity,
     canonical_form,
-    compose,
     emit_semigroup,
     find_isomorphism,
-    generate_from_transformations,
-    identity_of,
     parse_semigroup,
-    product,
     relabel,
     validate,
 )
 from epivariants.corpus import corpus_names, corpus_text, load_corpus
 from epivariants.epigroup import pseudoinverse_map
 from epivariants.search import semigroup_tables
+
+from _tables import adjoin_identity, closure
 
 Z2 = CayleyTable([[0, 1], [1, 0]])
 NULL2 = CayleyTable([[0, 0], [0, 0]])
@@ -178,64 +174,6 @@ def test_validate_large_order_matches_oracle():
     assert _outcome(validate, t) == expected
 
 
-def test_product():
-    assert product(Z2, 1, 1) == 0
-    assert product(W_WITNESS, 0, 1) == 3
-    assert product(W_WITNESS, 2, 1) == 2
-
-
-def test_adjoin_identity_monoid_unchanged():
-    assert adjoin_identity(Z2) is Z2
-    one = CayleyTable([[0]])
-    assert adjoin_identity(one) is one
-
-
-def test_adjoin_identity_null():
-    t = adjoin_identity(NULL2)
-    assert t.order == 3
-    validate(t)
-    assert identity_of(t) == 2
-    assert t.table[0][1] == 0 and t.table[1][0] == 0
-
-
-def test_generate_identity_only():
-    t, labels = generate_from_transformations([Transformation(2, (0, 1))])
-    assert t.order == 1
-
-
-def test_generate_constant_maps():
-    c0 = Transformation(2, (0, 0))
-    c1 = Transformation(2, (1, 1))
-    t, labels = generate_from_transformations([c0, c1])
-    assert t.order == 2
-    # oracle: compose every pair by hand under (f*g)(x) = g(f(x))
-    for i, f in enumerate(labels):
-        for j, g in enumerate(labels):
-            expected = tuple(g.images[f.images[x]] for x in range(2))
-            assert labels[t.table[i][j]].images == expected
-    # constants absorb on the left: f*g = g, a right-zero semigroup
-    assert all(t.table[i][j] == j for i in range(2) for j in range(2))
-
-
-def test_generate_full_transformation_monoid_degree2():
-    swap = Transformation(2, (1, 0))
-    c0 = Transformation(2, (0, 0))
-    t, labels = generate_from_transformations([swap, c0])
-    assert t.order == 4
-    # oracle: all 4 self-maps of a 2-set, closed under composition
-    assert {f.images for f in labels} == {(0, 1), (1, 0), (0, 0), (1, 1)}
-    for i, f in enumerate(labels):
-        for j, g in enumerate(labels):
-            assert labels[t.table[i][j]] == compose(f, g)
-
-
-def test_generate_cap():
-    swap = Transformation(2, (1, 0))
-    c0 = Transformation(2, (0, 0))
-    with pytest.raises(CapExceeded):
-        generate_from_transformations([swap, c0], cap=2)
-
-
 def test_find_isomorphism_identity():
     for t in (Z2, NULL2, W_WITNESS):
         phi = find_isomorphism(t, t)
@@ -324,7 +262,7 @@ def _generated_models():
     # closures of two degree-3 transformations: orders 5, 6, 5, 6
     for gens in (((0, 0, 0), (1, 2, 1)), ((0, 0, 1), (1, 0, 0)),
                  ((0, 0, 2), (1, 2, 2)), ((0, 0, 2), (2, 1, 0))):
-        t, _ = generate_from_transformations([Transformation(3, g) for g in gens])
+        t = closure(gens)
         yield t
         yield pseudoinverse_map(t)
 
@@ -347,7 +285,7 @@ def _relabelled_order_5_models(count):
 def test_canonical_form_matches_brute_force():
     # the order-7 monoid is past MAX_PLAIN_ORDER, where the relabelings are
     # built on each call instead of cached
-    t, _ = generate_from_transformations([Transformation(3, (0, 0, 1)), Transformation(3, (1, 0, 0))])
+    t = closure([(0, 0, 1), (1, 0, 0)])
     models = _oracle_models() + list(_relabelled_order_5_models(300)) + [adjoin_identity(t)]
     assert len(models) == 2 * 218 + (1 + 5 * 4 + 24 * 27 + 4**4 + 188) + 8 + 2 * 300 + 1
     assert sorted({m.order for m in models}) == [1, 2, 3, 4, 5, 6, MAX_PLAIN_ORDER + 1]
@@ -500,10 +438,9 @@ def _seeded_closures(rng, count):
     closures = []
     while len(closures) < count:
         degree = rng.choice((3, 4))
-        gens = [Transformation(degree, tuple(rng.randrange(degree) for _ in range(degree)))
-                for _ in range(2)]
+        gens = [[rng.randrange(degree) for _ in range(degree)] for _ in range(2)]
         try:
-            t, _ = generate_from_transformations(gens, cap=24)
+            t = closure(gens, cap=24)
         except CapExceeded:
             continue
         if t.order >= 7:
@@ -520,7 +457,7 @@ def test_find_isomorphism_matches_plain_backtracking():
         pairs.append((m, order_5[(i + 2) % len(order_5)]))  # same kind, another class
     for t in _seeded_closures(rng, 40):
         pairs.append((t, relabel(t, rng.sample(range(t.order), t.order))))
-    s4, _ = generate_from_transformations([Transformation(4, (1, 0, 2, 3)), Transformation(4, (1, 2, 3, 0))])
+    s4 = closure([(1, 0, 2, 3), (1, 2, 3, 0)])
     for _ in range(200):
         pairs.append((relabel(s4, rng.sample(range(24), 24)), relabel(s4, rng.sample(range(24), 24))))
     assert sum(plain_backtracking_isomorphism(a, b) is None for a, b in pairs) > 100
@@ -555,6 +492,10 @@ def test_parse_rejects_garbage():
         parse_semigroup("")
 
 
+def test_parse_reads_signs_between_non_ascii_whitespace():
+    assert parse_semigroup("+2\n0\u00a0+0\n0\u2003 1\n") == CayleyTable([[0, 0], [0, 1]])
+
+
 def test_corpus_comments_ignored():
     text = corpus_text("z2.sgp")
     assert text.startswith("#")
@@ -565,8 +506,7 @@ def test_element_signatures_split_s4_by_order():
     # S_4 as permutations of degree 4: the index/period part of the
     # signature separates elements of order 1, 2, 3 and 4, where the
     # table statistics alone only single out the identity
-    gens = [Transformation(4, (1, 0, 2, 3)), Transformation(4, (1, 2, 3, 0))]
-    t, _ = generate_from_transformations(gens)
+    t = closure([(1, 0, 2, 3), (1, 2, 3, 0)])
     assert t.order == 24
     sizes = sorted(Counter(_element_signatures(t.table, None)).values())
     assert sizes == [1, 6, 8, 9]
@@ -591,6 +531,9 @@ def test_element_signatures_index_and_period():
     ("1\n0\nunary: 0\nunary: 0\n", "unexpected line after the unary map: 'unary: 0'"),
     ("1\n0\nunary: 0\n0\n", "unexpected line after the unary map: '0'"),
     ("2\n0 0\n0 0\nunary: 0 0\n# note\n1 1\n", "unexpected line after the unary map: '1 1'"),
+    ("2\n0 0\n0 1\nunary: 0\n", "unary map has length 1, expected 2"),
+    ("2\n0 0\n0 1\nunary: 0 5\n", "entry 5 at ('unary', 1) is out of range"),
+    ("2\n0 0\n0 -1\n", "entry -1 at (1, 1) is out of range"),
 ])
 def test_parse_rejects_malformed_structure(text, message):
     with pytest.raises(SemigroupError) as exc:

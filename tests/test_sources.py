@@ -28,17 +28,17 @@ def test_epigroup_does_not_import_green():
     assert not {name for name in imported if name.split(".")[-1] == "green"}, imported
 
 
-def test_only_core_calls_adjoin_identity():
+def test_no_module_builds_s1():
     # green and primary conjugacy read aS^1, S^1a and the pairs (xy, yx) off
-    # the table itself; S^1 is built only by core and by the tests' oracles
-    callers = set()
+    # the table itself; S^1 is built only by the tests' oracles, so no module
+    # of the package defines, imports, calls or names adjoin_identity
+    users = set()
     for path in sorted(Path(epivariants.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                callee = getattr(node.func, "attr", getattr(node.func, "id", None))
-                if callee == "adjoin_identity":
-                    callers.add(path.stem)
-    assert callers <= {"core"}, callers
+            name = getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+            if name == "adjoin_identity":
+                users.add(path.stem)
+    assert not users, users
 
 
 def test_checks_enumerate_tables_only_in_the_corpus_and_the_oracle_sweep():

@@ -24,7 +24,6 @@ from epivariants.search import (
 )
 from epivariants.variants import (
     check_pseudoinverse_transport,
-    check_variant_index,
     is_unary_variant_of_completely_regular,
     is_variant_of_cr,
     star,
@@ -32,6 +31,8 @@ from epivariants.variants import (
     variant,
 )
 from epivariants.varieties import in_V
+
+from _tables import check_variant_index
 
 NULL2 = CayleyTable([[0, 0], [0, 0]])
 
