@@ -35,28 +35,20 @@ from .varieties import (
     in_W_structural,
     parse_identity,
     parse_term,
-    satisfies,
 )
 from .variants import (
     check_pseudoinverse_transport,
-    is_unary_variant_of_completely_regular,
+    is_variant_of_cr,
     star,
     unary_variant,
     variant,
 )
-from .conjugacy import (
-    BinaryRelation,
-    ConjugacyReport,
-    check_transitivity,
-    conjugacy_classes,
-    primary_conjugacy,
-)
+from .conjugacy import ConjugacyReport, check_transitivity
 from .search import (
     SearchResult,
     SearchSpec,
     count_semigroups,
     enumerate_models,
-    reproduce_v1_census,
     semigroup_tables,
 )
 from .corpus import corpus_names, load_corpus

@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product as iproduct
 
-from .conjugacy import check_transitivity, conjugacy_classes, primary_conjugacy
+from .conjugacy import check_transitivity
 from .core import (
     CayleyTable,
     UnarySemigroup,
     _invariants,
     _isomorphism_search,
     canonical_form,
+    find_isomorphism,
     identity_of,
     table_of,
 )
@@ -33,7 +34,7 @@ from .epigroup import (
     verify_epigroup_identities,
 )
 from .green import green, is_group_h_class
-from .search import ReproductionFailed, reproduce_v1_census, semigroup_tables
+from .search import SearchSpec, enumerate_models, semigroup_tables
 from .variants import check_pseudoinverse_transport, star, variant
 from .varieties import (
     EQ_COMMUTE,
@@ -68,18 +69,48 @@ def _corpus():
     )
 
 
+V1_CENSUS_REFERENCES = ("v1_nonvariant_a.sgp", "v1_nonvariant_b.sgp", "v1_nonvariant_c.sgp")
+
+
 def check_v1_census():
     """Exactly three order-4 unary semigroups in V_1 are not variants of a
-    completely regular semigroup, none below order 4."""
-    try:
-        _, report = reproduce_v1_census()
-    except ReproductionFailed as exc:
-        return CheckOutcome("v1-census", False, str(exc))
-    return CheckOutcome(
-        "v1-census",
-        True,
-        f"counts {report['counts_by_order']}, matching {report['matching']}",
-    )
+    completely regular semigroup, none below order 4, and they match the
+    shipped reference tables one to one, pseudoinverse maps included."""
+
+    def failed(detail):
+        return CheckOutcome("v1-census", False, detail)
+
+    spec = partial(SearchSpec, structural_filters=("V1", "not:variant_of_CR"))
+    found = {order: enumerate_models(spec(order)).models for order in range(1, 5)}
+    counts = {order: len(models) for order, models in found.items()}
+    expected = {1: 0, 2: 0, 3: 0, 4: 3}
+    if counts != expected:
+        return failed(f"model counts {counts} differ from expected {expected}")
+
+    references = [load_corpus(name) for name in V1_CENSUS_REFERENCES]
+    for name, ref in zip(V1_CENSUS_REFERENCES, references):
+        if not ref.canonical or ref.unary != (1, 1, 2, 3):
+            return failed(f"reference {name} lost its pseudoinverse map")
+
+    models = found[4]
+    matching = {}
+    isomorphisms = {}  # the one found in the sweep, reused for the check below
+    for name, ref in zip(V1_CENSUS_REFERENCES, references):
+        phis = (find_isomorphism(ref, m) for m in models)
+        hits = {i: phi for i, phi in enumerate(phis) if phi is not None}
+        if len(hits) != 1:
+            return failed(f"reference {name} matched models {list(hits)}, expected one")
+        [(matching[name], isomorphisms[name])] = hits.items()
+    if sorted(matching.values()) != [0, 1, 2]:
+        return failed(f"matching {matching} is not a bijection")
+
+    for name, ref in zip(V1_CENSUS_REFERENCES, references):
+        model = models[matching[name]]
+        phi = isomorphisms[name]
+        for x in range(4):
+            if model.unary[phi[x]] != phi[ref.unary[x]]:
+                return failed(f"pseudoinverse mismatch under matching for {name}")
+    return CheckOutcome("v1-census", True, f"counts {counts}, matching {matching}")
 
 
 def check_w_witness():
@@ -448,8 +479,8 @@ def check_oracles():
         model = load_corpus(name)
         t = table_of(model)
         oracle = _conjugacy_oracle(t)
-        rel = primary_conjugacy(t)
-        if [list(row) for row in rel.bits] != oracle:
+        report = check_transitivity(t)
+        if [list(row) for row in report.relation] != oracle:
             problems.append(f"conjugacy relation mismatch on {name}")
         # classes from the oracle via union-find
         parent = list(range(t.order))
@@ -468,7 +499,7 @@ def check_oracles():
         for a in range(t.order):
             expected.setdefault(find(a), []).append(a)
         expected = sorted(tuple(sorted(v)) for v in expected.values())
-        if sorted(conjugacy_classes(t)) != expected:
+        if sorted(report.classes) != expected:
             problems.append(f"conjugacy classes mismatch on {name}")
     models = dict.fromkeys(model for s, uvs in _corpus() for model in (s, *uvs))
     for model in models:
@@ -511,7 +542,7 @@ def check_group_sanity():
         if not _is_group(t):
             problems.append(f"{name} is not a group")
             continue
-        if [list(r) for r in primary_conjugacy(t).bits] != _group_conjugacy_oracle(t):
+        if [list(r) for r in check_transitivity(t).relation] != _group_conjugacy_oracle(t):
             problems.append(f"{name}: primary conjugacy differs from group conjugacy")
         s = pseudoinverse_map(t)
         for c in range(t.order):

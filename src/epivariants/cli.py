@@ -153,11 +153,14 @@ def cmd_epi(args, argv):
 
 
 def cmd_variety(args, argv):
+    names = [name.strip() for name in (args.test or "").split(",") if name.strip()]
+    if not (names or args.identity):
+        print("error: variety needs --test or --identity", file=sys.stderr)
+        return 2
     rb = ReportBuilder(argv)
     model = _load(args.file)
     if not isinstance(model, UnarySemigroup):
         model = pseudoinverse_map(model)
-    names = [name.strip() for name in (args.test or "").split(",") if name.strip()]
     try:
         tests = [variety_test(name) for name in names]
     except ValueError as exc:
@@ -211,7 +214,7 @@ def cmd_conjugacy(args, argv):
     t = table_of(_load(args.file))
     report = check_transitivity(t)
     rb.report["data"] = {
-        "relation": [[int(v) for v in row] for row in report.relation.bits],
+        "relation": [[int(v) for v in row] for row in report.relation],
         "transitive": report.transitive,
         "witness": report.witness,
         "classes": [list(c) for c in report.classes],
@@ -220,7 +223,7 @@ def cmd_conjugacy(args, argv):
     if args.json:
         _emit_report(rb.finish(), True)
     else:
-        for row in report.relation.bits:
+        for row in report.relation:
             print(" ".join("1" if v else "0" for v in row))
         print("transitive:", report.transitive)
         if report.witness:

@@ -13,14 +13,8 @@ from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
-class BinaryRelation:
-    order: int
-    bits: tuple  # n x n boolean matrix
-
-
-@dataclass(frozen=True)
 class ConjugacyReport:
-    relation: BinaryRelation
+    relation: tuple  # n x n rows of bools: relation[a][b] iff a ~ b
     transitive: bool
     witness: tuple | None  # (a, b, c) with a~b, b~c, not a~c
     classes: tuple
@@ -43,7 +37,7 @@ def _related(t):
 
 
 def _relation(related):
-    """The BinaryRelation with the given related sets."""
+    """The n x n tuple of bool rows with the given related sets."""
     n = len(related)
     rows = []
     for mine in related:
@@ -51,13 +45,7 @@ def _relation(related):
         for b in mine:
             row[b] = True
         rows.append(tuple(row))
-    return BinaryRelation(n, tuple(rows))
-
-
-def primary_conjugacy(t):
-    """The primary conjugacy relation on S, with x and y ranging over S^1
-    (see ``_related``)."""
-    return _relation(_related(t))
+    return tuple(rows)
 
 
 def _components(neighbours):
@@ -84,7 +72,8 @@ def _components(neighbours):
 
 
 def check_transitivity(t):
-    """Full report: the relation, a transitivity verdict, the
+    """Primary conjugacy on S, with x and y ranging over S^1 (see
+    ``_related``): the relation, a transitivity verdict, the
     lexicographically least witness triple on failure, and the classes of
     the transitive closure, all from one pass over the table."""
     related = _related(t)
@@ -103,8 +92,3 @@ def check_transitivity(t):
         witness=witness,
         classes=_components(related),
     )
-
-
-def conjugacy_classes(t):
-    """Classes of the transitive closure of primary conjugacy."""
-    return _components(_related(t))

@@ -39,20 +39,14 @@ from .core import (
     MAX_PLAIN_ORDER,
     CapExceeded,
     CayleyTable,
-    SemigroupError,
     UnarySemigroup,
     _lex_leader,
     _unpack,
-    find_isomorphism,
     table_of,
     validate,
 )
 from .epigroup import is_completely_regular, pseudoinverse_map
 from .varieties import _compiled, _first_failure, in_W_structural, variety_test
-
-
-class ReproductionFailed(SemigroupError):
-    pass
 
 
 def _assign(t, a, b, n, where, force, trail):
@@ -327,56 +321,3 @@ def enumerate_models(spec):
         provenance={"spec": spec, "elapsed_seconds": elapsed},
     )
 
-
-V1_CENSUS_REFERENCES = ("v1_nonvariant_a.sgp", "v1_nonvariant_b.sgp", "v1_nonvariant_c.sgp")
-
-
-def reproduce_v1_census():
-    """Re-run the census of unary semigroups in V_1 that are not unary
-    variants of any completely regular semigroup: none below order 4 and
-    exactly three at order 4, matching the shipped reference tables.
-
-    Returns (results_by_order, report).  Raises ReproductionFailed with a
-    diff on any mismatch.
-    """
-    from .corpus import load_corpus
-
-    results = {}
-    for order in range(1, 5):
-        spec = SearchSpec(order=order, structural_filters=("V1", "not:variant_of_CR"))
-        results[order] = enumerate_models(spec)
-    counts = {order: len(results[order].models) for order in results}
-    expected = {1: 0, 2: 0, 3: 0, 4: 3}
-    if counts != expected:
-        raise ReproductionFailed(f"model counts {counts} differ from expected {expected}")
-
-    references = [load_corpus(name) for name in V1_CENSUS_REFERENCES]
-    for name, ref in zip(V1_CENSUS_REFERENCES, references):
-        if not ref.canonical or ref.unary != (1, 1, 2, 3):
-            raise ReproductionFailed(f"reference {name} lost its pseudoinverse map")
-
-    matching = {}
-    isomorphisms = {}  # the one found in the sweep, reused for the check below
-    models = results[4].models
-    for name, ref in zip(V1_CENSUS_REFERENCES, references):
-        phis = (find_isomorphism(ref, m) for m in models)
-        hits = {i: phi for i, phi in enumerate(phis) if phi is not None}
-        if len(hits) != 1:
-            raise ReproductionFailed(f"reference {name} matched models {list(hits)}, expected one")
-        [(matching[name], isomorphisms[name])] = hits.items()
-    if sorted(matching.values()) != [0, 1, 2]:
-        raise ReproductionFailed(f"matching {matching} is not a bijection")
-
-    for name, ref in zip(V1_CENSUS_REFERENCES, references):
-        model = models[matching[name]]
-        phi = isomorphisms[name]
-        for x in range(4):
-            if model.unary[phi[x]] != phi[ref.unary[x]]:
-                raise ReproductionFailed(f"pseudoinverse mismatch under matching for {name}")
-
-    report = {
-        "counts_by_order": counts,
-        "matching": matching,
-        "pseudoinverse": "0 -> 1, fixes 1, 2, 3 under each matching bijection",
-    }
-    return results, report

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import CayleyTable, UnarySemigroup, canonical_form, find_isomorphism
+from .core import CayleyTable, UnarySemigroup, canonical_form
 from .epigroup import is_completely_regular, pseudoinverse_map
 from .search import semigroup_tables
 
@@ -70,53 +70,27 @@ def check_pseudoinverse_transport(s, c):
 
 
 @lru_cache(maxsize=None)
-def _cr_variant_index(n):
-    """canonical_form -> (T, c, unary variant) over the completely regular
-    semigroups T of order n, in ``semigroup_tables`` order, and every c in
-    T^1 (None for the adjoined identity).  The first entry for a form wins."""
-    index = {}
+def _cr_variant_forms(n):
+    """The canonical forms of the unary variants of the completely regular
+    semigroups T of order n, at every c in T^1."""
+    forms = set()
     for t in semigroup_tables(n):
         if not is_completely_regular(t):
             continue
         su = pseudoinverse_map(t)
-        for c in range(n):
-            uv = unary_variant(su, c)
-            index.setdefault(canonical_form(uv), (t, c, uv))
+        forms.update(canonical_form(unary_variant(su, c)) for c in range(n))
         # c = adjoined identity: x *_1 y = xy and x* = x'
-        index.setdefault(canonical_form(su), (t, None, su))
-    return index
+        forms.add(canonical_form(su))
+    return frozenset(forms)
 
 
 def is_variant_of_cr(s):
     """Whether s is isomorphic to a unary variant of a completely regular
-    semigroup of its order, c in T^1: one canonical-form lookup in the
-    index of ``is_unary_variant_of_completely_regular``, with no isomorphism
-    search.  Orders above the enumeration cap raise CapExceeded before the
-    form is computed."""
-    index = _cr_variant_index(s.order)
-    return canonical_form(s) in index
-
-
-def is_unary_variant_of_completely_regular(s):
-    """Find a completely regular semigroup T of the same order and a
-    sandwich element c whose unary variant is isomorphic to s.
-
-    The sandwich element ranges over T^1: sandwiching by the adjoined
-    identity gives back T itself, so a completely regular semigroup always
-    counts as a (trivial) variant.  Returns (T, c, isomorphism) with c = None
-    for the trivial sandwich, or None when no witness exists.
-
-    It reads the index that ``is_variant_of_cr`` reads: the first call at an
-    order indexes the unary variants of that order's completely regular
-    semigroups by canonical form.  A miss costs that lookup alone; only a
-    hit runs an isomorphism search, to build the witness.  The witness is
-    the first (T, c) in ``semigroup_tables`` order, c before the adjoined
-    identity, that a linear scan would find.  Orders above the enumeration
-    cap of ``semigroup_tables`` raise CapExceeded.  A caller that needs the
-    yes/no answer alone calls ``is_variant_of_cr``.
-    """
-    hit = _cr_variant_index(s.order).get(canonical_form(s))
-    if hit is None:
-        return None
-    t, c, cand = hit
-    return t, c, find_isomorphism(cand, s)
+    semigroup T of its order, c in T^1: sandwiching by the adjoined identity
+    gives back T itself, so a completely regular semigroup always counts as
+    a (trivial) variant.  The first call at an order collects the canonical
+    forms of that order's variants; each call is then one lookup of
+    ``canonical_form(s)``, with no isomorphism search.  Orders above the
+    enumeration cap raise CapExceeded before the form is computed."""
+    forms = _cr_variant_forms(s.order)
+    return canonical_form(s) in forms

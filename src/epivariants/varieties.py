@@ -132,49 +132,57 @@ def _tokenize(text):
     return tokens
 
 
+MAX_TERM_DEPTH = 500
+
+
 def parse_term(text):
-    tokens = _tokenize(text)
-    pos = [0]
+    """The term that text denotes, read in one pass with a stack of the open
+    parentheses, so no Python recursion.  Each level is a product, a prime
+    or a pair of parentheses, and x^k counts as the k - 1 products it
+    expands to.  The term walkers (``term_text``, ``eval_term``, ...) and
+    tuple hashing recurse once per level, so a term more than
+    MAX_TERM_DEPTH levels deep raises IdentityParseError before it is
+    built."""
 
-    def peek():
-        return tokens[pos[0]][0] if pos[0] < len(tokens) else None
+    def bounded(depth):
+        if depth > MAX_TERM_DEPTH:
+            raise IdentityParseError(f"term nested deeper than {MAX_TERM_DEPTH} levels in {text!r}")
+        return depth
 
-    def take():
-        if pos[0] >= len(tokens):
-            raise IdentityParseError(f"unexpected end of term in {text!r}")
-        tok = tokens[pos[0]]
-        pos[0] += 1
-        return tok
+    def product(factors):
+        # left-associated, as tproduct builds it
+        (term, depth), *rest = factors
+        for factor, d in rest:
+            term, depth = tdot(term, factor), bounded(max(depth, d) + 1)
+        return term, depth
 
-    def parse_product():
-        factors = [parse_factor()]
-        while peek() in ("var", "("):
-            factors.append(parse_factor())
-        return tproduct(factors)
-
-    def parse_factor():
-        kind, value = take()
+    groups = [[]]  # the (term, depth) factors of each open group, outermost first
+    for kind, value in _tokenize(text):
+        factors = groups[-1]
         if kind == "var":
-            term = tvar(value)
+            factors.append((tvar(value), 0))
         elif kind == "(":
-            term = parse_product()
-            if peek() != ")":
-                raise IdentityParseError(f"missing ')' in {text!r}")
-            take()
-        else:
+            groups.append([])
+        elif not factors:
             raise IdentityParseError(f"unexpected token {value!r} in {text!r}")
-        while peek() in ("'", "pow"):
-            kind, value = take()
-            if kind == "'":
-                term = tprime(term)
-            else:
-                term = tpow(term, value)
-        return term
-
-    term = parse_product()
-    if pos[0] != len(tokens):
-        raise IdentityParseError(f"trailing tokens in {text!r}")
-    return term
+        elif kind == ")":
+            if len(groups) == 1:
+                raise IdentityParseError(f"trailing tokens in {text!r}")
+            groups.pop()
+            term, depth = product(factors)
+            groups[-1].append((term, bounded(depth + 1)))
+        elif kind == "'":
+            term, depth = factors[-1]
+            factors[-1] = (tprime(term), bounded(depth + 1))
+        else:
+            term, depth = factors[-1]
+            depth = bounded(depth + value - 1)  # before x^k is expanded
+            factors[-1] = (tpow(term, value), depth)
+    if not groups[-1]:
+        raise IdentityParseError(f"unexpected end of term in {text!r}")
+    if len(groups) > 1:
+        raise IdentityParseError(f"missing ')' in {text!r}")
+    return product(groups[0])[0]
 
 
 def parse_identity(text):
@@ -285,10 +293,6 @@ def find_counterexample(s, identity):
     fallback for deep terms."""
     hit = _first_failure(s, _compiled((identity,)))
     return None if hit is None else hit[1]
-
-
-def satisfies(s, identity):
-    return find_counterexample(s, identity) is None
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ from functools import lru_cache
 import pytest
 
 from epivariants import checks, variants
-from epivariants.corpus import load_corpus
+from epivariants.core import table_of
+from epivariants.corpus import corpus_names, load_corpus
 from epivariants.epigroup import EpigroupData
 from epivariants.varieties import VarietyReport, parse_identity
 
@@ -95,10 +96,14 @@ def test_run_all_builds_each_input_once(monkeypatch):
     groups = [load_corpus(name) for name in ("z2.sgp", "z3.sgp", "s3.sgp")]
     expected.update((t, c) for t in groups for c in range(t.order))
     assert Counter(built) == expected
-    # one conjugacy check per distinct table, one oracle sweep per distinct model
+    # one conjugacy check per distinct table of the corpus, then one per
+    # shipped file in the oracle sweep and one per group in group-sanity
     models = {model for s, uvs in corpus for model in (s, *uvs)}
-    assert len(transitivity) == len(set(transitivity)) == 290
-    assert set(transitivity) == {(model.base,) for model in models}
+    assert len(transitivity) == 290 + 12 + 3
+    assert len(set(transitivity[:290])) == 290
+    assert set(transitivity[:290]) == {(model.base,) for model in models}
+    shipped = [table_of(load_corpus(name)) for name in corpus_names()]
+    assert transitivity[290:] == [(t,) for t in shipped + groups]
     assert len(disagreements) == len(set(disagreements)) == 477
     assert set(disagreements) == {(model,) for model in models}
 

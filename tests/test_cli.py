@@ -14,6 +14,8 @@ except ImportError:  # pragma: no cover
     files = None
 
 SCHEMA = json.loads(files("epivariants").joinpath("report.schema.json").read_text())
+# terms nested past the parser's bound, one by x^k and one by parentheses
+DEEP_TERMS = ["x^3000", "(" * 3000 + "x" + ")" * 3000]
 
 
 @pytest.fixture
@@ -103,6 +105,22 @@ def test_variety_adhoc_identity(corpus_file, capsys):
     assert code == 0
     code, _ = run_json(capsys, ["variety", corpus_file("s3.sgp"), "--identity", "x*y = y*x", "--json"])
     assert code == 1
+    # a term nested past the parser's bound is an input error
+    for term in ["x^995", *DEEP_TERMS]:
+        assert main(["variety", path, "--identity", f"{term} = x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: term nested deeper than 500 levels in ")
+    # x^300 is deeper than the identity compiler takes, and still runs
+    assert main(["variety", path, "--identity", "x^300 = x"]) == 1
+    assert capsys.readouterr().out.startswith("fail  x*x*x*")
+
+
+def test_variety_without_a_test_is_usage_error(corpus_file, capsys):
+    for argv in ([], ["--json"], ["--test", " , "]):
+        assert main(["variety", corpus_file("z3.sgp"), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: variety needs --test or --identity\n"
 
 
 def test_variety_unknown_name(corpus_file, capsys):
@@ -279,10 +297,10 @@ def test_verify_paper_reports_broken_check(capsys, monkeypatch):
 
 def test_verify_paper_reports_census_failure(capsys, monkeypatch):
     # a census mismatch is one failed check, and the other nine still run
-    from epivariants import search
+    from epivariants import checks
 
-    refs = search.V1_CENSUS_REFERENCES
-    monkeypatch.setattr(search, "V1_CENSUS_REFERENCES", (refs[0], refs[0], refs[2]))
+    refs = checks.V1_CENSUS_REFERENCES
+    monkeypatch.setattr(checks, "V1_CENSUS_REFERENCES", (refs[0], refs[0], refs[2]))
     code, report = run_json(capsys, ["verify-paper", "--json"])
     assert code == 1
     assert len(report["checks"]) == 10
@@ -322,6 +340,12 @@ def test_enumerate_unparsable_identity(tmp_path, capsys):
     assert main(["enumerate", "--order", "2", "--identities", str(path)]) == 2
     message = f"error: {path}, line 2: unexpected end of term in ''\n"
     assert capsys.readouterr().err == message
+    # a term nested past the parser's bound is refused before it is built
+    for term in DEEP_TERMS:
+        path.write_text(f"x*y = y*x\n{term} = x\n")
+        assert main(["enumerate", "--order", "2", "--identities", str(path)]) == 2
+        prefix = f"error: {path}, line 2: term nested deeper than 500 levels in "
+        assert capsys.readouterr().err.startswith(prefix)
 
 
 def test_enumerate_undecodable_identities_file(tmp_path, capsys):

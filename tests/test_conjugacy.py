@@ -2,11 +2,7 @@ import random
 from itertools import permutations
 
 from epivariants import checks
-from epivariants.conjugacy import (
-    check_transitivity,
-    conjugacy_classes,
-    primary_conjugacy,
-)
+from epivariants.conjugacy import check_transitivity
 from epivariants.core import CapExceeded, CayleyTable, relabel
 from epivariants.corpus import corpus_names, load_corpus
 from epivariants.search import semigroup_tables
@@ -37,11 +33,11 @@ def test_relation_matches_oracle():
     for name in ("z3.sgp", "s3.sgp", "null2.sgp", "left_zero2.sgp"):
         model = load_corpus(name)
         t = getattr(model, "base", model)
-        rel = primary_conjugacy(t)
+        rel = check_transitivity(t).relation
         pairs = relation_oracle(t)
         for a in range(t.order):
             for b in range(t.order):
-                assert rel.bits[a][b] == ((a, b) in pairs)
+                assert rel[a][b] == ((a, b) in pairs)
 
 
 def test_checks_oracle_matches_relation():
@@ -52,50 +48,51 @@ def test_checks_oracle_matches_relation():
         for t in semigroup_tables(order):
             tables += [t] + [variant(t, c) for c in range(order)]
     for t in tables:
-        assert checks._conjugacy_oracle(t) == [list(row) for row in primary_conjugacy(t).bits]
+        assert checks._conjugacy_oracle(t) == [list(row) for row in check_transitivity(t).relation]
 
 
 def test_group_conjugacy_s3():
     s3 = load_corpus("s3.sgp")
-    rel = primary_conjugacy(s3)
+    report = check_transitivity(s3)
     # oracle: group conjugacy g a g^-1 over all g
     inv = {g: next(h for h in range(6) if s3.table[g][h] == 0) for g in range(6)}
     for a in range(6):
         orbit = {s3.table[s3.table[g][a]][inv[g]] for g in range(6)}
         for b in range(6):
-            assert rel.bits[a][b] == (b in orbit)
-    assert conjugacy_classes(s3) == ((0,), (1, 3, 4), (2, 5))
+            assert report.relation[a][b] == (b in orbit)
+    assert report.classes == ((0,), (1, 3, 4), (2, 5))
 
 
 def test_abelian_group_classes_are_singletons():
     z3 = load_corpus("z3.sgp")
-    assert conjugacy_classes(z3) == ((0,), (1,), (2,))
-    assert check_transitivity(z3).transitive
+    report = check_transitivity(z3)
+    assert report.classes == ((0,), (1,), (2,))
+    assert report.transitive
 
 
 def test_null_semigroup():
     # xy = 0 always, so a ~ b iff a = b = 0 or {a,b} = {a} via x=a, y=1
-    rel = primary_conjugacy(NULL2)
-    assert rel.bits[0][0] and rel.bits[1][1]
-    assert not rel.bits[0][1]
-    assert conjugacy_classes(NULL2) == ((0,), (1,))
+    report = check_transitivity(NULL2)
+    assert report.relation[0][0] and report.relation[1][1]
+    assert not report.relation[0][1]
+    assert report.classes == ((0,), (1,))
 
 
 def test_left_zero_single_class():
     lz = load_corpus("left_zero2.sgp")
-    rel = primary_conjugacy(lz)
+    report = check_transitivity(lz)
     # 0 = 0*1 and 1 = 1*0, so 0 ~ 1
-    assert rel.bits[0][1]
-    assert conjugacy_classes(lz) == ((0, 1),)
+    assert report.relation[0][1]
+    assert report.classes == ((0, 1),)
 
 
 def test_non_transitive_witness():
     report = check_transitivity(NONTRANS4)
     assert not report.transitive
     a, b, c = report.witness
-    assert report.relation.bits[a][b]
-    assert report.relation.bits[b][c]
-    assert not report.relation.bits[a][c]
+    assert report.relation[a][b]
+    assert report.relation[b][c]
+    assert not report.relation[a][c]
     assert report.witness == (1, 0, 2)
 
 
@@ -110,7 +107,7 @@ def test_smallest_non_transitive_order_is_4():
 def test_transitive_closure_partition():
     for order in (1, 2, 3, 4):
         for t in semigroup_tables(order):
-            classes = conjugacy_classes(t)
+            classes = check_transitivity(t).classes
             flat = sorted(a for cls in classes for a in cls)
             assert flat == list(range(order))
             assert classes == tuple(sorted(classes, key=min))
@@ -181,9 +178,9 @@ def test_witness_and_classes_match_brute_force():
 
 
 def test_relation_iso_invariant():
-    rel = primary_conjugacy(NONTRANS4)
+    rel = check_transitivity(NONTRANS4).relation
     for p in permutations(range(4)):
-        rp = primary_conjugacy(relabel(NONTRANS4, p))
+        rp = check_transitivity(relabel(NONTRANS4, p)).relation
         for a in range(4):
             for b in range(4):
-                assert rel.bits[a][b] == rp.bits[p[a]][p[b]]
+                assert rel[a][b] == rp[p[a]][p[b]]

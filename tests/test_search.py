@@ -1,3 +1,4 @@
+import ast
 import hashlib
 from functools import lru_cache
 from itertools import product as iproduct
@@ -18,7 +19,6 @@ from epivariants.search import (
     SearchSpec,
     count_semigroups,
     enumerate_models,
-    reproduce_v1_census,
     resolve_filter,
     semigroup_tables,
 )
@@ -351,10 +351,13 @@ def test_cross_search_cap():
 
 
 def test_census_reproduces():
-    results, report = reproduce_v1_census()
-    assert report["counts_by_order"] == {1: 0, 2: 0, 3: 0, 4: 3}
-    assert sorted(report["matching"].values()) == [0, 1, 2]
-    for model in results[4].models:
+    outcome = checks.check_v1_census()
+    assert outcome.ok
+    assert outcome.detail.startswith("counts {1: 0, 2: 0, 3: 0, 4: 3}, matching {")
+    matching = ast.literal_eval(outcome.detail.split("matching ", 1)[1])
+    assert sorted(matching.values()) == [0, 1, 2]
+    spec = SearchSpec(order=4, structural_filters=("V1", "not:variant_of_CR"))
+    for model in enumerate_models(spec).models:
         assert model.canonical
         # the non-regular element collapses onto another under x -> x'
         assert len(set(model.unary)) == 3

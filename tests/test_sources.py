@@ -56,6 +56,14 @@ def test_checks_enumerate_tables_only_in_the_corpus_and_the_oracle_sweep():
     assert users == {"_corpus", "check_oracles"}, users
 
 
+def test_search_is_pure_enumeration():
+    # the V_1 census lives in its check: the enumerator neither matches
+    # models against references nor reads the shipped corpus
+    source = (Path(epivariants.__file__).parent / "search.py").read_text()
+    assert "find_isomorphism" not in source
+    assert "load_corpus" not in source
+
+
 MARK = "_validated"  # the attribute validate sets on a table that passes
 SETTERS = ("setattr", "__setattr__", "delattr", "__delattr__")
 

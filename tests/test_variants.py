@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from epivariants import checks, core, search, variants
+from epivariants import checks, core, variants
 from epivariants.core import (
     CapExceeded,
     CayleyTable,
@@ -16,15 +16,9 @@ from epivariants.core import (
 )
 from epivariants.corpus import load_corpus
 from epivariants.epigroup import is_completely_regular, pseudoinverse_map
-from epivariants.search import (
-    SearchSpec,
-    enumerate_models,
-    reproduce_v1_census,
-    semigroup_tables,
-)
+from epivariants.search import SearchSpec, enumerate_models, semigroup_tables
 from epivariants.variants import (
     check_pseudoinverse_transport,
-    is_unary_variant_of_completely_regular,
     is_variant_of_cr,
     star,
     unary_variant,
@@ -259,7 +253,8 @@ def _witness_variant(t, c):
 
 def test_variant_of_cr_monoid_is_witnessed_by_itself():
     z3 = pseudoinverse_map(load_corpus("z3.sgp"))
-    witness = is_unary_variant_of_completely_regular(z3)
+    assert is_variant_of_cr(z3)
+    witness = linear_scan_witness(z3)
     assert witness is not None
     t, c, phi = witness
     assert is_completely_regular(t)
@@ -293,26 +288,27 @@ def _order_4_v1_models():
     ]
 
 
-def test_indexed_witness_matches_linear_scan():
+def test_membership_matches_linear_scan():
     candidates = _order_4_v1_models()
     assert len(candidates) == 133
     for m in candidates:
-        assert is_unary_variant_of_completely_regular(m) == linear_scan_witness(m)
+        assert is_variant_of_cr(m) == (linear_scan_witness(m) is not None)
 
 
 def test_membership_answers_as_the_witness_does():
-    candidates = _order_4_v1_models()
-    unary_variants = [uv for _, uvs in checks._corpus() for uv in uvs]
-    assert (len(candidates), len(unary_variants)) == (133, 835)
-    for m in candidates + unary_variants:
-        assert is_variant_of_cr(m) == (is_unary_variant_of_completely_regular(m) is not None)
+    # each distinct unary variant of the corpus, including the ones that
+    # lie outside V_1
+    unary_variants = list(dict.fromkeys(uv for _, uvs in checks._corpus() for uv in uvs))
+    assert len(unary_variants) == 259
+    for m in unary_variants:
+        assert is_variant_of_cr(m) == (linear_scan_witness(m) is not None)
 
 
 def test_cold_census_searches_isomorphisms_for_its_matching_only(monkeypatch):
     # the filter asks membership; only the sweep that matches the three
     # references against the three order-4 models builds isomorphisms
     monkeypatch.setattr(
-        variants, "_cr_variant_index", lru_cache(variants._cr_variant_index.__wrapped__)
+        variants, "_cr_variant_forms", lru_cache(variants._cr_variant_forms.__wrapped__)
     )
     calls = []
 
@@ -320,10 +316,10 @@ def test_cold_census_searches_isomorphisms_for_its_matching_only(monkeypatch):
         calls.append((s, t))
         return find_isomorphism(s, t)
 
-    for module in (variants, search):
-        monkeypatch.setattr(module, "find_isomorphism", counted)
-    _, report = reproduce_v1_census()
-    assert report["counts_by_order"] == {1: 0, 2: 0, 3: 0, 4: 3}
+    monkeypatch.setattr(checks, "find_isomorphism", counted)
+    outcome = checks.check_v1_census()
+    assert outcome.ok
+    assert outcome.detail.startswith("counts {1: 0, 2: 0, 3: 0, 4: 3}, ")
     assert len(calls) == 9
 
 
@@ -331,40 +327,43 @@ def _order_5_v1_models():
     return [m for m in map(pseudoinverse_map, semigroup_tables(5)) if in_V(m, 1).holds]
 
 
-def test_indexed_witness_matches_linear_scan_on_order_5_sample():
+def test_membership_matches_linear_scan_on_order_5_sample():
     sample = random.Random(2).sample(_order_5_v1_models(), 20)
-    witnesses = [is_unary_variant_of_completely_regular(m) for m in sample]
-    assert witnesses == [linear_scan_witness(m) for m in sample]
-    assert None in witnesses  # the sample holds a non-variant
+    members = [is_variant_of_cr(m) for m in sample]
+    assert members == [linear_scan_witness(m) is not None for m in sample]
+    assert False in members  # the sample holds a non-variant
 
 
 @pytest.mark.slow
-def test_indexed_witness_matches_linear_scan_at_order_5():
+def test_membership_matches_linear_scan_at_order_5():
     candidates = _order_5_v1_models()
     assert len(candidates) == 623
-    witnesses = [is_unary_variant_of_completely_regular(m) for m in candidates]
-    assert witnesses == [linear_scan_witness(m) for m in candidates]
-    assert witnesses.count(None) == 54
+    members = [is_variant_of_cr(m) for m in candidates]
+    assert members == [linear_scan_witness(m) is not None for m in candidates]
+    assert members.count(False) == 54
     spec = SearchSpec(order=5, structural_filters=("V1", "not:variant_of_CR"))
-    census = tuple(m for m, w in zip(candidates, witnesses) if w is None)
+    census = tuple(m for m, member in zip(candidates, members) if not member)
     assert enumerate_models(spec).models == census
 
 
 def test_unary_variant_of_z3_recognized():
     z3 = pseudoinverse_map(load_corpus("z3.sgp"))
     uv = unary_variant(z3, 1)
-    witness = is_unary_variant_of_completely_regular(uv)
-    assert witness is not None
+    assert is_variant_of_cr(uv)
 
 
 def test_census_references_are_not_variants():
     for k in "abc":
         ref = load_corpus(f"v1_nonvariant_{k}.sgp")
         assert in_V(ref, 1).holds
-        assert is_unary_variant_of_completely_regular(ref) is None
+        assert not is_variant_of_cr(ref)
 
 
-def test_variant_search_cap():
+def test_variant_search_cap(monkeypatch):
+    # the cap is met before any canonical form is computed
+    forms = []
+    monkeypatch.setattr(variants, "canonical_form", forms.append)
     z7 = CayleyTable.from_rows([[(x + y) % 7 for y in range(7)] for x in range(7)])
     with pytest.raises(CapExceeded):
-        is_unary_variant_of_completely_regular(pseudoinverse_map(z7))
+        is_variant_of_cr(pseudoinverse_map(z7))
+    assert forms == []

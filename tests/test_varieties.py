@@ -24,7 +24,6 @@ from epivariants.varieties import (
     in_W_structural,
     parse_identity,
     parse_term,
-    satisfies,
     tdot,
     term_text,
     tprime,
@@ -85,7 +84,7 @@ def test_eval_on_z3():
 
 def test_satisfies_commute():
     for name in ("z3.sgp", "null2.sgp", "w_not_v1.sgp"):
-        assert satisfies(canonical(name), parse_identity("x*x' = x'*x"))
+        assert find_counterexample(canonical(name), parse_identity("x*x' = x'*x")) is None
 
 
 def test_counterexample_is_lexicographically_first():
@@ -95,7 +94,7 @@ def test_counterexample_is_lexicographically_first():
 
 def test_trivial_satisfies_everything():
     one = UnarySemigroup(CayleyTable([[0]]), (0,))
-    assert satisfies(one, parse_identity("x = y"))
+    assert find_counterexample(one, parse_identity("x = y")) is None
 
 
 def test_in_E_group():
@@ -327,6 +326,25 @@ def test_kernel_deep_term_falls_back_to_eval_term():
     for name in ("z3.sgp", "null2.sgp", "w_not_v1.sgp"):
         s = canonical(name)
         assert find_counterexample(s, DEEP) == brute_force_counterexample(s, DEEP)
+
+
+def test_parse_refuses_terms_nested_past_the_bound():
+    # x^k counts as k - 1 products and a pair of parentheses as a level; the
+    # deepest term accepted still runs on eval_term
+    bound = varieties.MAX_TERM_DEPTH
+    deepest = parse_identity(f"x^{bound + 1} = x")
+    s = canonical("z3.sgp")
+    assert find_counterexample(s, deepest) == brute_force_counterexample(s, deepest) == {"x": 1}
+    assert parse_term("(" * bound + "x" + ")" * bound) == tvar("x")
+    for text in (
+        f"x^{bound + 2}",
+        "x" * (bound + 2),
+        "(" * (bound + 1) + "x" + ")" * (bound + 1),
+        f"(x^{bound // 2})^{bound // 2 + 2}",
+        "x^999999999999",
+    ):
+        with pytest.raises(IdentityParseError, match=f"nested deeper than {bound} levels"):
+            parse_term(text)
 
 
 def test_basis_with_one_deep_identity_falls_back_as_a_whole():
