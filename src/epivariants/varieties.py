@@ -120,12 +120,22 @@ def _tokenize(text):
             tokens.append((ch, ch))
             i += 1
         elif ch == "^":
+            # ASCII digits only, as in a .sgp file: isdigit() also takes
+            # superscripts, which int() refuses, and other scripts' digits
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             if j == i + 1:
                 raise IdentityParseError(f"'^' needs a numeric exponent in {text!r}")
-            tokens.append(("pow", int(text[i + 1:j])))
+            try:
+                k = int(text[i + 1:j])
+            except ValueError:  # past int()'s limit on digits
+                raise IdentityParseError(
+                    f"exponent of {j - i - 1} digits is too long in {text!r}"
+                ) from None
+            if k < 1:
+                raise IdentityParseError(f"exponent {k} is not positive in {text!r}")
+            tokens.append(("pow", k))
             i = j
         else:
             raise IdentityParseError(f"unexpected character {ch!r} in {text!r}")
@@ -133,6 +143,7 @@ def _tokenize(text):
 
 
 MAX_TERM_DEPTH = 500
+MAX_TERM_LEAVES = 10_000
 
 
 def parse_term(text):
@@ -142,25 +153,33 @@ def parse_term(text):
     expands to.  The term walkers (``term_text``, ``eval_term``, ...) and
     tuple hashing recurse once per level, so a term more than
     MAX_TERM_DEPTH levels deep raises IdentityParseError before it is
-    built."""
+    built.  They also visit a subterm that x^k shares once per copy, so a
+    term of more than MAX_TERM_LEAVES variable occurrences once expanded
+    (x^k has k times as many as x) is refused the same way: nested powers
+    such as ((x^2)^2)^2 stay shallow while their leaves double per level."""
 
-    def bounded(depth):
+    def bounded(depth, leaves):
         if depth > MAX_TERM_DEPTH:
             raise IdentityParseError(f"term nested deeper than {MAX_TERM_DEPTH} levels in {text!r}")
-        return depth
+        if leaves > MAX_TERM_LEAVES:
+            raise IdentityParseError(
+                f"term expands to more than {MAX_TERM_LEAVES} variable occurrences in {text!r}"
+            )
+        return depth, leaves
 
     def product(factors):
         # left-associated, as tproduct builds it
-        (term, depth), *rest = factors
-        for factor, d in rest:
-            term, depth = tdot(term, factor), bounded(max(depth, d) + 1)
-        return term, depth
+        (term, depth, leaves), *rest = factors
+        for factor, d, k in rest:
+            term = tdot(term, factor)
+            depth, leaves = bounded(max(depth, d) + 1, leaves + k)
+        return term, depth, leaves
 
-    groups = [[]]  # the (term, depth) factors of each open group, outermost first
+    groups = [[]]  # the (term, depth, leaves) factors of each open group, outermost first
     for kind, value in _tokenize(text):
         factors = groups[-1]
         if kind == "var":
-            factors.append((tvar(value), 0))
+            factors.append((tvar(value), 0, 1))
         elif kind == "(":
             groups.append([])
         elif not factors:
@@ -169,15 +188,16 @@ def parse_term(text):
             if len(groups) == 1:
                 raise IdentityParseError(f"trailing tokens in {text!r}")
             groups.pop()
-            term, depth = product(factors)
-            groups[-1].append((term, bounded(depth + 1)))
+            term, depth, leaves = product(factors)
+            groups[-1].append((term, *bounded(depth + 1, leaves)))
         elif kind == "'":
-            term, depth = factors[-1]
-            factors[-1] = (tprime(term), bounded(depth + 1))
+            term, depth, leaves = factors[-1]
+            factors[-1] = (tprime(term), *bounded(depth + 1, leaves))
         else:
-            term, depth = factors[-1]
-            depth = bounded(depth + value - 1)  # before x^k is expanded
-            factors[-1] = (tpow(term, value), depth)
+            term, depth, leaves = factors[-1]
+            # bounded before x^k is expanded
+            bound = bounded(depth + value - 1, leaves * value)
+            factors[-1] = (tpow(term, value), *bound)
     if not groups[-1]:
         raise IdentityParseError(f"unexpected end of term in {text!r}")
     if len(groups) > 1:

@@ -115,6 +115,23 @@ def test_variety_adhoc_identity(corpus_file, capsys):
     assert capsys.readouterr().out.startswith("fail  x*x*x*")
 
 
+def test_variety_unreadable_exponent_is_input_error(corpus_file, capsys):
+    # an exponent in other than ASCII digits, or past int()'s limit on digits,
+    # and a term whose powers expand past the size bound are input errors
+    path = corpus_file("z3.sgp")
+    for term, message in [
+        ("x^²", "'^' needs a numeric exponent in "),
+        ("x^٣", "'^' needs a numeric exponent in "),
+        ("x^" + "9" * 5000, "exponent of 5000 digits is too long in "),
+        ("(" * 20 + "x" + ")^2" * 20, "term expands to more than 10000 variable occurrences in "),
+    ]:
+        assert main(["variety", path, "--identity", f"{term} = x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert "int()" not in captured.err
+
+
 def test_variety_without_a_test_is_usage_error(corpus_file, capsys):
     for argv in ([], ["--json"], ["--test", " , "]):
         assert main(["variety", corpus_file("z3.sgp"), *argv]) == 2
@@ -346,6 +363,15 @@ def test_enumerate_unparsable_identity(tmp_path, capsys):
         assert main(["enumerate", "--order", "2", "--identities", str(path)]) == 2
         prefix = f"error: {path}, line 2: term nested deeper than 500 levels in "
         assert capsys.readouterr().err.startswith(prefix)
+    # so is an exponent int() cannot read, or a term past the size bound
+    for line, message in [
+        ("x^" + "9" * 5000 + " = x", "exponent of 5000 digits is too long in "),
+        ("x^² = x", "'^' needs a numeric exponent in "),
+        ("(" * 20 + "x" + ")^2" * 20 + " = x", "term expands to more than 10000 variable "),
+    ]:
+        path.write_text(f"{line}\nx*y = y*x\n")
+        assert main(["enumerate", "--order", "2", "--identities", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}, line 1: {message}")
 
 
 def test_enumerate_undecodable_identities_file(tmp_path, capsys):

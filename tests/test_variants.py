@@ -323,6 +323,33 @@ def test_cold_census_searches_isomorphisms_for_its_matching_only(monkeypatch):
     assert len(calls) == 9
 
 
+@pytest.mark.parametrize("order, forms", [(3, 26), (4, 148)])
+def test_cr_variant_forms_are_computed_once_per_distinct_variant(monkeypatch, order, forms):
+    # one canonical form per distinct (table, unary map) among the variants
+    # at every c in T^1 (52 and 335 of them), and the set is the set of all
+    expected = variants._cr_variant_forms(order)
+    monkeypatch.setattr(
+        variants, "_cr_variant_forms", lru_cache(variants._cr_variant_forms.__wrapped__)
+    )
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return core.canonical_form(s)
+
+    monkeypatch.setattr(variants, "canonical_form", counted)
+    assert variants._cr_variant_forms(order) == expected
+    assert len(calls) == forms
+    every = {
+        core.canonical_form(m)
+        for t in semigroup_tables(order)
+        if is_completely_regular(t)
+        for su in [pseudoinverse_map(t)]
+        for m in [su, *(unary_variant(su, c) for c in range(order))]
+    }
+    assert expected == every
+
+
 def _order_5_v1_models():
     return [m for m in map(pseudoinverse_map, semigroup_tables(5)) if in_V(m, 1).holds]
 

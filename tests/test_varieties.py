@@ -347,6 +347,41 @@ def test_parse_refuses_terms_nested_past_the_bound():
             parse_term(text)
 
 
+def _nested_squares(levels):
+    # ((x)^2)^2 ... : one level of depth per square, twice the leaves
+    return "(" * levels + "x" + ")^2" * levels
+
+
+def test_parse_refuses_terms_expanding_past_the_size_bound():
+    # x^k has k times the variable occurrences of x; the bound is met while
+    # parsing, before any walker visits the shared subterms once per copy
+    bound = varieties.MAX_TERM_LEAVES
+    assert bound < 2**14
+    widest = parse_identity(f"{_nested_squares(13)} = x")
+    assert widest.variables == ["x"]
+    assert term_text(widest.lhs).count("x") == 2**13
+    for text in (_nested_squares(14), _nested_squares(30), f"(x^100)^{bound // 100 + 1}"):
+        with pytest.raises(IdentityParseError, match=f"more than {bound} variable occurrences"):
+            parse_term(text)
+    # terms under both bounds still parse; x^501 is the deepest power
+    assert parse_term("x^501")[0] == "dot"
+    assert term_text(parse_term(f"(x^100)^{bound // 100}")).count("x") == bound
+
+
+def test_exponent_is_ascii_digits():
+    # the rule of .sgp integers: isdigit() also takes superscripts, which
+    # int() refuses, and other scripts' digits, which it reads
+    for text in ("x^²", "x^٣", "x^３"):
+        with pytest.raises(IdentityParseError, match="'\\^' needs a numeric exponent"):
+            parse_term(text)
+    with pytest.raises(IdentityParseError, match="exponent 0 is not positive"):
+        parse_term("x^0")
+    # past int()'s limit on digits: an input error, not Python's ValueError
+    with pytest.raises(IdentityParseError, match="exponent of 5000 digits is too long"):
+        parse_term("x^" + "9" * 5000)
+    assert parse_term("x^007") == parse_term("x^7")
+
+
 def test_basis_with_one_deep_identity_falls_back_as_a_whole():
     # one identity nests too deeply, so the basis runs on eval_term alone:
     # the same report as the brute force, whichever identity fails first
