@@ -216,6 +216,21 @@ def _isomorphism_search(t1, u1, inv1, t2, u2, inv2):
     """find_isomorphism on tables of one order and kind whose
     ``_invariants`` are already computed.
 
+    Reject first: tables whose signature multisets differ are not
+    isomorphic, so they return None after one comparison.  Only a pair
+    with equal multisets enters ``_backtrack``, which builds the cells of
+    its nested functions when it is called; most pairs of the oracle
+    sweep never pay for them."""
+    if inv1[1] != inv2[1]:
+        return None
+    return _backtrack(t1, u1, inv1[0], t2, u2, inv2[0])
+
+
+def _backtrack(t1, u1, sig1, t2, u2, sig2):
+    """The lexicographically least isomorphism from (t1, u1) to (t2, u2)
+    that maps each element to one of the same signature, or None; sig1 and
+    sig2 are the two tables' signatures, with one multiset.
+
     Elements are assigned in the order 0..n-1, each to its candidates in
     increasing order.  Once k is assigned, every product x*y with x, y <= k
     and every unary image x' with x <= k has a known image.  If its value z
@@ -229,9 +244,6 @@ def _isomorphism_search(t1, u1, inv1, t2, u2, inv2):
     the search returns the lexicographically least isomorphism whatever the
     signatures are."""
     n = len(t1)
-    (sig1, multiset1), (sig2, multiset2) = inv1, inv2
-    if multiset1 != multiset2:
-        return None
     members = {}            # the elements of t2 with each signature, increasing
     for b, sig in enumerate(sig2):
         members.setdefault(sig, []).append(b)

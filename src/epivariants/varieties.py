@@ -143,7 +143,7 @@ def _tokenize(text):
 
 
 MAX_TERM_DEPTH = 500
-MAX_TERM_LEAVES = 10_000
+MAX_TERM_SIZE = 10_000
 
 
 def parse_term(text):
@@ -154,28 +154,30 @@ def parse_term(text):
     tuple hashing recurse once per level, so a term more than
     MAX_TERM_DEPTH levels deep raises IdentityParseError before it is
     built.  They also visit a subterm that x^k shares once per copy, so a
-    term of more than MAX_TERM_LEAVES variable occurrences once expanded
-    (x^k has k times as many as x) is refused the same way: nested powers
-    such as ((x^2)^2)^2 stay shallow while their leaves double per level."""
+    term whose expanded size, its variable occurrences and primes counted
+    together (x^k has k times the size of x), passes MAX_TERM_SIZE is
+    refused the same way: nested powers such as ((x'')^2)^2 stay shallow
+    while their size doubles per level."""
 
-    def bounded(depth, leaves):
+    def bounded(depth, size):
         if depth > MAX_TERM_DEPTH:
             raise IdentityParseError(f"term nested deeper than {MAX_TERM_DEPTH} levels in {text!r}")
-        if leaves > MAX_TERM_LEAVES:
+        if size > MAX_TERM_SIZE:
             raise IdentityParseError(
-                f"term expands to more than {MAX_TERM_LEAVES} variable occurrences in {text!r}"
+                f"term expands to more than {MAX_TERM_SIZE} variable occurrences and primes "
+                f"in {text!r}"
             )
-        return depth, leaves
+        return depth, size
 
     def product(factors):
         # left-associated, as tproduct builds it
-        (term, depth, leaves), *rest = factors
+        (term, depth, size), *rest = factors
         for factor, d, k in rest:
             term = tdot(term, factor)
-            depth, leaves = bounded(max(depth, d) + 1, leaves + k)
-        return term, depth, leaves
+            depth, size = bounded(max(depth, d) + 1, size + k)
+        return term, depth, size
 
-    groups = [[]]  # the (term, depth, leaves) factors of each open group, outermost first
+    groups = [[]]  # the (term, depth, size) factors of each open group, outermost first
     for kind, value in _tokenize(text):
         factors = groups[-1]
         if kind == "var":
@@ -188,15 +190,15 @@ def parse_term(text):
             if len(groups) == 1:
                 raise IdentityParseError(f"trailing tokens in {text!r}")
             groups.pop()
-            term, depth, leaves = product(factors)
-            groups[-1].append((term, *bounded(depth + 1, leaves)))
+            term, depth, size = product(factors)
+            groups[-1].append((term, *bounded(depth + 1, size)))
         elif kind == "'":
-            term, depth, leaves = factors[-1]
-            factors[-1] = (tprime(term), *bounded(depth + 1, leaves))
+            term, depth, size = factors[-1]
+            factors[-1] = (tprime(term), *bounded(depth + 1, size + 1))
         else:
-            term, depth, leaves = factors[-1]
+            term, depth, size = factors[-1]
             # bounded before x^k is expanded
-            bound = bounded(depth + value - 1, leaves * value)
+            bound = bounded(depth + value - 1, size * value)
             factors[-1] = (tpow(term, value), *bound)
     if not groups[-1]:
         raise IdentityParseError(f"unexpected end of term in {text!r}")

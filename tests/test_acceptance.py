@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import pytest
 
-from epivariants import checks, variants
+from epivariants import checks, core, variants
 from epivariants.core import table_of
 from epivariants.corpus import corpus_names, load_corpus
 from epivariants.epigroup import EpigroupData
@@ -176,6 +176,22 @@ def test_oracle_check_searches_every_pair(monkeypatch):
     monkeypatch.setattr(checks, "_isomorphism_search", counted)
     assert checks.check_oracles().ok
     assert [calls.count(n) for n in (1, 2, 3, 4)] == [1, 15, 300, 17766]
+
+
+def test_oracle_sweep_backtracks_only_on_equal_signature_multisets(monkeypatch):
+    # every pair still reaches the search, but the backtracking body runs
+    # only where the multisets agree: at order <= 4 that is the diagonal,
+    # 1 + 5 + 24 + 188 pairs, and the other 17,864 are rejected first
+    calls = []
+    backtrack = core._backtrack
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return backtrack(*args)
+
+    monkeypatch.setattr(core, "_backtrack", counted)
+    assert checks.check_oracles().ok
+    assert [calls.count(n) for n in (1, 2, 3, 4)] == [1, 5, 24, 188]
 
 
 def _merge_j_classes_0_and_1(t, green=checks.green):

@@ -16,6 +16,8 @@ except ImportError:  # pragma: no cover
 SCHEMA = json.loads(files("epivariants").joinpath("report.schema.json").read_text())
 # terms nested past the parser's bound, one by x^k and one by parentheses
 DEEP_TERMS = ["x^3000", "(" * 3000 + "x" + ")" * 3000]
+# the start of the message for a term past the size bound
+WIDE = "term expands to more than 10000 variable occurrences and primes"
 
 
 @pytest.fixture
@@ -123,7 +125,7 @@ def test_variety_unreadable_exponent_is_input_error(corpus_file, capsys):
         ("x^²", "'^' needs a numeric exponent in "),
         ("x^٣", "'^' needs a numeric exponent in "),
         ("x^" + "9" * 5000, "exponent of 5000 digits is too long in "),
-        ("(" * 20 + "x" + ")^2" * 20, "term expands to more than 10000 variable occurrences in "),
+        ("(" * 20 + "x" + ")^2" * 20, f"{WIDE} in "),
     ]:
         assert main(["variety", path, "--identity", f"{term} = x"]) == 2
         captured = capsys.readouterr()
@@ -367,7 +369,9 @@ def test_enumerate_unparsable_identity(tmp_path, capsys):
     for line, message in [
         ("x^" + "9" * 5000 + " = x", "exponent of 5000 digits is too long in "),
         ("x^² = x", "'^' needs a numeric exponent in "),
-        ("(" * 20 + "x" + ")^2" * 20 + " = x", "term expands to more than 10000 variable "),
+        ("(" * 20 + "x" + ")^2" * 20 + " = x", f"{WIDE} in "),
+        # the primes that nested powers copy count towards the size too
+        ("(" * 13 + "x" + "'" * 470 + ")^2" * 13 + " = x", f"{WIDE} in "),
     ]:
         path.write_text(f"{line}\nx*y = y*x\n")
         assert main(["enumerate", "--order", "2", "--identities", str(path)]) == 2

@@ -4,6 +4,7 @@ from itertools import permutations, product as iproduct
 
 import pytest
 
+from epivariants import core
 from epivariants.core import (
     MAX_PLAIN_ORDER,
     CapExceeded,
@@ -13,6 +14,7 @@ from epivariants.core import (
     SemigroupError,
     UnarySemigroup,
     _element_signatures,
+    _invariants,
     canonical_form,
     emit_semigroup,
     find_isomorphism,
@@ -193,6 +195,32 @@ def test_left_zero_not_isomorphic_to_right_zero():
             for b in range(2)
         )
     assert find_isomorphism(LEFT_ZERO, RIGHT_ZERO) is None
+
+
+def test_isomorphism_search_rejects_unequal_multisets_before_backtracking(monkeypatch):
+    # a pair whose signature multisets differ returns None from the one
+    # comparison; a pair whose multisets agree is searched
+    entered = []
+    backtrack = core._backtrack
+
+    def spied(*args):
+        entered.append(args)
+        return backtrack(*args)
+
+    monkeypatch.setattr(core, "_backtrack", spied)
+    tables = semigroup_tables(3)
+    for models in (tables, [pseudoinverse_map(t) for t in tables]):
+        invs = [_invariants(*core._unpack(m)) for m in models]
+        rejected = 0
+        for (a, inv_a), (b, inv_b) in iproduct(zip(models, invs), repeat=2):
+            entered.clear()
+            phi = find_isomorphism(a, b)
+            if inv_a[1] != inv_b[1]:
+                assert (phi, entered) == (None, [])
+                rejected += 1
+            else:
+                assert len(entered) == 1
+        assert rejected > 100
 
 
 def test_census_references_pairwise_nonisomorphic():

@@ -347,21 +347,34 @@ def test_parse_refuses_terms_nested_past_the_bound():
             parse_term(text)
 
 
-def _nested_squares(levels):
-    # ((x)^2)^2 ... : one level of depth per square, twice the leaves
-    return "(" * levels + "x" + ")^2" * levels
+def _nested_squares(levels, base="x"):
+    # ((base)^2)^2 ... : one level of depth per square, twice the size
+    return "(" * levels + base + ")^2" * levels
 
 
 def test_parse_refuses_terms_expanding_past_the_size_bound():
-    # x^k has k times the variable occurrences of x; the bound is met while
-    # parsing, before any walker visits the shared subterms once per copy
-    bound = varieties.MAX_TERM_LEAVES
+    # x^k has k times the variable occurrences and primes of x; the bound is
+    # met while parsing, before any walker visits the shared subterms once
+    # per copy
+    bound = varieties.MAX_TERM_SIZE
     assert bound < 2**14
     widest = parse_identity(f"{_nested_squares(13)} = x")
     assert widest.variables == ["x"]
     assert term_text(widest.lhs).count("x") == 2**13
-    for text in (_nested_squares(14), _nested_squares(30), f"(x^100)^{bound // 100 + 1}"):
-        with pytest.raises(IdentityParseError, match=f"more than {bound} variable occurrences"):
+    primed = parse_term(_nested_squares(12, "x'"))
+    assert term_text(primed).count("'") == 2**12
+    message = f"more than {bound} variable occurrences and primes"
+    for text in (
+        _nested_squares(14),
+        _nested_squares(30),
+        f"(x^100)^{bound // 100 + 1}",
+        # 13 squares of x' hold 2**14 symbols, of x only 2**13
+        _nested_squares(13, "x'"),
+        # 527 characters whose 3.9-million-character expansion the walkers
+        # would take seconds over
+        _nested_squares(13, "x" + "'" * 470),
+    ):
+        with pytest.raises(IdentityParseError, match=message):
             parse_term(text)
     # terms under both bounds still parse; x^501 is the deepest power
     assert parse_term("x^501")[0] == "dot"
