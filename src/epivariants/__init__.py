@@ -45,8 +45,6 @@ from .variants import (
 )
 from .conjugacy import ConjugacyReport, check_transitivity
 from .search import (
-    SearchResult,
-    SearchSpec,
     count_semigroups,
     enumerate_models,
     semigroup_tables,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product as iproduct
 
 from .conjugacy import check_transitivity
@@ -34,7 +34,7 @@ from .epigroup import (
     verify_epigroup_identities,
 )
 from .green import green, is_group_h_class
-from .search import SearchSpec, enumerate_models, semigroup_tables
+from .search import enumerate_models, semigroup_tables
 from .variants import check_pseudoinverse_transport, star, variant
 from .varieties import (
     EQ_COMMUTE,
@@ -80,8 +80,8 @@ def check_v1_census():
     def failed(detail):
         return CheckOutcome("v1-census", False, detail)
 
-    spec = partial(SearchSpec, structural_filters=("V1", "not:variant_of_CR"))
-    found = {order: enumerate_models(spec(order)).models for order in range(1, 5)}
+    filters = ("V1", "not:variant_of_CR")
+    found = {order: enumerate_models(order, filters=filters) for order in range(1, 5)}
     counts = {order: len(models) for order, models in found.items()}
     expected = {1: 0, 2: 0, 3: 0, 4: 3}
     if counts != expected:

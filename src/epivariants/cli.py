@@ -26,7 +26,7 @@ from .core import (
 )
 from .epigroup import epigroup_data, pseudoinverse_map, verify_epigroup_identities
 from .green import green
-from .search import SearchSpec, count_semigroups, enumerate_models
+from .search import count_semigroups, enumerate_models
 from .variants import unary_variant, variant
 from .varieties import IdentityParseError, find_counterexample, parse_identity, variety_test
 
@@ -166,6 +166,12 @@ def cmd_variety(args, argv):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if "W" in names and not model.canonical:
+        print(
+            f"error: W reads only the pseudoinverse map, and {args.file} carries another unary map",
+            file=sys.stderr,
+        )
+        return 2
     for name, test in zip(names, tests):
         report = test(model)
         rb.add(
@@ -279,31 +285,24 @@ def cmd_enumerate(args, argv):
             )
             return 2
     filters = tuple(f.strip() for f in (args.filter or "").split(",") if f.strip())
-    spec = SearchSpec(
-        order=args.order,
-        identities=identities,
-        structural_filters=filters,
-        merge_anti_isomorphic=args.merge_anti,
-        free_unary=args.free_unary,
-        canonical_unary=not args.plain,
-    )
+    unary = "free" if args.free_unary else None if args.plain else "pseudoinverse"
     try:
         # the semigroup count is the model count unless unary maps are free
         if args.count_only and not (identities or filters or args.free_unary):
             print(count_semigroups(args.order, merge_anti=args.merge_anti))
             return 0
-        result = enumerate_models(spec)
+        models = enumerate_models(args.order, identities, filters, unary, merge_anti=args.merge_anti)
     except (ValueError, SemigroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.count_only:
-        print(len(result.models))
+        print(len(models))
         return 0
     if args.out:
         try:
             os.makedirs(args.out, exist_ok=True)
             manifest = []
-            for i, model in enumerate(result.models):
+            for i, model in enumerate(models):
                 name = f"model_{i:04d}.sgp"
                 with open(os.path.join(args.out, name), "w") as fh:
                     fh.write(emit_semigroup(model))
@@ -315,9 +314,9 @@ def cmd_enumerate(args, argv):
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        print(f"wrote {len(result.models)} models to {args.out}")
+        print(f"wrote {len(models)} models to {args.out}")
     else:
-        for model in result.models:
+        for model in models:
             sys.stdout.write(emit_semigroup(model))
             print()
     return 0

@@ -543,12 +543,17 @@ def parse_semigroup(text):
         if len(rest) > 1:
             raise SemigroupError(f"unexpected line after the unary map: {rest[1]!r}")
         unary = _integers(lines[1 + n][0], rest[0][len("unary:"):])
-        validate(t)  # the canonical flag below needs a genuine semigroup
         if len(unary) != n:
             raise SemigroupError(f"unary map has length {len(unary)}, expected {n}")
         for a, v in enumerate(unary):
             if not 0 <= v < n:
                 raise EntryOutOfRange(("unary", a), v)
+        try:
+            validate(t)
+        except NotAssociative:
+            # no pseudoinverse map to compare with: a table that is not a
+            # semigroup is loaded for validate() to diagnose
+            return UnarySemigroup(t, unary, canonical=False)
         from .epigroup import pseudoinverse_map  # deferred: epigroup builds on core
         canonical = pseudoinverse_map(t).unary == unary
         return UnarySemigroup(t, unary, canonical=canonical)

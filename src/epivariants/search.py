@@ -31,8 +31,6 @@ computes ``core.canonical_form``.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from itertools import chain, product as iproduct
 
 from .core import (
@@ -202,28 +200,7 @@ def count_semigroups(order, merge_anti=False):
     isomorphism plus anti-isomorphism."""
     if not merge_anti:
         return len(semigroup_tables(order))
-    spec = SearchSpec(order, canonical_unary=False, merge_anti_isomorphic=True)
-    return len(enumerate_models(spec).models)
-
-
-@dataclass(frozen=True)
-class SearchSpec:
-    order: int
-    identities: tuple = ()
-    structural_filters: tuple = ()
-    merge_anti_isomorphic: bool = False
-    canonical_unary: bool = True
-    free_unary: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "identities", tuple(self.identities))
-        object.__setattr__(self, "structural_filters", tuple(self.structural_filters))
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    models: tuple
-    provenance: dict
+    return len(enumerate_models(order, unary=None, merge_anti=True))
 
 
 # the filters that need no unary map, so they also apply to plain tables
@@ -254,23 +231,28 @@ def resolve_filter(name):
     return pred
 
 
-def _candidates(spec, tables):
-    """The models the spec's unary mode puts on each table: every unary
-    map, the pseudoinverse map, or none."""
-    if spec.free_unary:
+def _candidates(tables, unary):
+    """The models the unary mode puts on each table: every unary map, the
+    pseudoinverse map, or none."""
+    if unary == "free":
         for t in tables:
             pinv = pseudoinverse_map(t).unary
-            for unary in iproduct(range(spec.order), repeat=spec.order):
-                yield UnarySemigroup(t, unary, canonical=(unary == pinv))
-    elif spec.canonical_unary:
+            for images in iproduct(range(t.order), repeat=t.order):
+                yield UnarySemigroup(t, images, canonical=(images == pinv))
+    elif unary == "pseudoinverse":
         yield from map(pseudoinverse_map, tables)
     else:
         yield from tables
 
 
-def enumerate_models(spec):
-    """All models of a SearchSpec up to isomorphism (unary isomorphism when a
-    unary map is attached), sorted by canonical form.
+def enumerate_models(order, identities=(), filters=(), unary="pseudoinverse", merge_anti=False):
+    """All semigroups of the given order that satisfy the identities and pass
+    the named filters (see ``resolve_filter``), one per isomorphism class
+    (unary isomorphism when a unary map is attached), as a tuple sorted by
+    canonical form.  ``unary`` is ``"pseudoinverse"`` (each table with its
+    pseudoinverse map), ``"free"`` (each table with every unary map) or
+    None (plain tables); ``merge_anti`` keeps one class of each
+    anti-isomorphic pair.
 
     Each model that passes gets one form, its canonical form without the
     order byte.  A table from ``semigroup_tables`` is its own lex leader, and
@@ -278,46 +260,41 @@ def enumerate_models(spec):
     form is their own serialization.  A free unary map is walked by
     ``_lex_leader``.  The forms dedupe the free unary maps, key the
     anti-isomorphism merge and sort the result."""
-    started = time.perf_counter()
-    predicates = [resolve_filter(name) for name in spec.structural_filters]
-    if not (spec.free_unary or spec.canonical_unary):
-        unary_only = [ident.text for ident in spec.identities] + [
-            name for name in spec.structural_filters
-            if name.removeprefix("not:") not in _TABLE_FILTERS
+    if unary not in ("pseudoinverse", "free", None):
+        raise ValueError(f"unary must be 'pseudoinverse', 'free' or None, not {unary!r}")
+    identities = tuple(identities)
+    predicates = [resolve_filter(name) for name in filters]
+    if unary is None:
+        unary_only = [ident.text for ident in identities] + [
+            name for name in filters if name.removeprefix("not:") not in _TABLE_FILTERS
         ]
         if unary_only:
             raise ValueError(f"plain tables carry no unary map for {', '.join(unary_only)}")
-    if spec.free_unary:
+    if unary == "free":
         # in_W reads W's basis on the pseudoinverse map alone
-        pinv_only = [name for name in spec.structural_filters if name.removeprefix("not:") == "W"]
+        pinv_only = [name for name in filters if name.removeprefix("not:") == "W"]
         if pinv_only:
             raise ValueError(f"free unary maps cannot be filtered by {', '.join(pinv_only)}: "
                              "W reads only the pseudoinverse map")
-    basis = _compiled(spec.identities)
+    basis = _compiled(identities)
     found = {}
-    for model in _candidates(spec, semigroup_tables(spec.order)):
-        if (not spec.identities or _first_failure(model, basis) is None) and all(
+    for model in _candidates(semigroup_tables(order), unary):
+        if (not identities or _first_failure(model, basis) is None) and all(
             pred(model) for pred in predicates
         ):
-            table, unary = _unpack(model)
-            if spec.free_unary:
-                form = _lex_leader(table, unary)
+            table, images = _unpack(model)
+            if unary == "free":
+                form = _lex_leader(table, images)
             else:
-                form = tuple(chain.from_iterable(table)) + (unary or ())
+                form = tuple(chain.from_iterable(table)) + (images or ())
             found.setdefault(form, model)
     forms = sorted(found)
-    if spec.merge_anti_isomorphic:
+    if merge_anti:
         # of each anti-isomorphic pair of classes, the one of smaller form;
         # the opposite's form is its transposed table's lex leader
         merged = {}
         for form in forms:
-            table, unary = _unpack(found[form])
-            merged.setdefault(min(form, _lex_leader(tuple(zip(*table)), unary)), form)
+            table, images = _unpack(found[form])
+            merged.setdefault(min(form, _lex_leader(tuple(zip(*table)), images)), form)
         forms = merged.values()
-    models = tuple(found[form] for form in forms)
-    elapsed = time.perf_counter() - started
-    return SearchResult(
-        models=models,
-        provenance={"spec": spec, "elapsed_seconds": elapsed},
-    )
-
+    return tuple(found[form] for form in forms)

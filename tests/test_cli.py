@@ -51,6 +51,22 @@ def test_validate_failure(tmp_path, capsys):
     assert report["checks"][0]["status"] == "fail"
 
 
+def test_validate_failure_with_a_unary_map(tmp_path, capsys):
+    # a unary line does not hide the failing triple from validate; every
+    # other subcommand still refuses the table as input
+    path = tmp_path / "bad.sgp"
+    path.write_text("2\n0 0\n1 0\nunary: 0 1\n")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == "(1*0)*1 != 1*(0*1)\n"
+    code, report = run_json(capsys, ["validate", str(path), "--json"])
+    assert code == 1
+    assert report["checks"] == [
+        {"name": "associativity", "status": "fail", "detail": "(1*0)*1 != 1*(0*1)"}
+    ]
+    assert main(["epi", str(path)]) == 2
+    assert capsys.readouterr().err == "error: (1*0)*1 != 1*(0*1)\n"
+
+
 def test_validate_malformed_file_is_usage_error(tmp_path, capsys):
     path = tmp_path / "trailing.sgp"
     path.write_text("1\n0\nunary: 0\nunary: 0\n")
@@ -140,6 +156,22 @@ def test_variety_without_a_test_is_usage_error(corpus_file, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: variety needs --test or --identity\n"
+
+
+def test_variety_w_refuses_another_unary_map(tmp_path, capsys):
+    # W's basis reads the pseudoinverse map only, so a file with another map
+    # is refused before any test runs; the other varieties read its map
+    path = tmp_path / "swap.sgp"
+    path.write_text("2\n0 0\n0 1\nunary: 1 0\n")
+    for names in ("W", "E1,W"):
+        assert main(["variety", str(path), "--test", names]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: W reads only the pseudoinverse map, and {path} carries another unary map\n"
+        )
+    assert main(["variety", str(path), "--test", "E1"]) == 1
+    assert capsys.readouterr().out == "fail  E1  (x'*x*x' = x' at {'x': 0})\n"
 
 
 def test_variety_unknown_name(corpus_file, capsys):

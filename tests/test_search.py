@@ -16,7 +16,6 @@ from epivariants.core import (
 )
 from epivariants.epigroup import pseudoinverse_map
 from epivariants.search import (
-    SearchSpec,
     count_semigroups,
     enumerate_models,
     resolve_filter,
@@ -245,75 +244,84 @@ def test_plain_mode_rejects_unary_constraints(monkeypatch):
         raise AssertionError("enumerated")
 
     monkeypatch.setattr(search, "semigroup_tables", no_enumeration)
-    spec = SearchSpec(
-        order=3,
-        canonical_unary=False,
-        identities=(parse_identity("x'' = x"),),
-        structural_filters=("completely_regular", "E1", "not:W", "variant_of_CR"),
-    )
     message = "plain tables carry no unary map for x'' = x, E1, not:W, variant_of_CR"
     with pytest.raises(ValueError, match=f"^{message}$"):
-        enumerate_models(spec)
+        enumerate_models(
+            3,
+            identities=(parse_identity("x'' = x"),),
+            filters=("completely_regular", "E1", "not:W", "variant_of_CR"),
+            unary=None,
+        )
     monkeypatch.undo()
-    spec = SearchSpec(order=3, canonical_unary=False, structural_filters=("completely_regular",))
-    assert all(isinstance(t, CayleyTable) for t in enumerate_models(spec).models)
+    models = enumerate_models(3, filters=("completely_regular",), unary=None)
+    assert all(isinstance(t, CayleyTable) for t in models)
+
+
+@pytest.mark.parametrize("unary", ["plain", False, True])
+def test_unknown_unary_mode_is_refused_before_enumeration(monkeypatch, unary):
+    # exactly "pseudoinverse", "free" and None select a mode; any other
+    # value is named before any table is built
+    from epivariants import search
+
+    def no_enumeration(order):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(search, "semigroup_tables", no_enumeration)
+    message = f"unary must be 'pseudoinverse', 'free' or None, not {unary!r}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        enumerate_models(3, unary=unary)
 
 
 def test_enumerate_with_identity_commutative():
-    spec = SearchSpec(order=2, identities=(parse_identity("x*y = y*x"),))
-    result = enumerate_models(spec)
+    models = enumerate_models(2, identities=(parse_identity("x*y = y*x"),))
     # oracle: of the 5 classes of order 2, the left and right zero
     # semigroups are the only noncommutative ones and merge to one class
-    assert len(result.models) == 3
+    assert len(models) == 3
 
 
 def test_enumerate_structural_filter():
-    spec = SearchSpec(order=3, structural_filters=("completely_regular",))
-    result = enumerate_models(spec)
-    assert 0 < len(result.models) < 24
-    spec_neg = SearchSpec(order=3, structural_filters=("not:completely_regular",))
-    result_neg = enumerate_models(spec_neg)
-    assert len(result.models) + len(result_neg.models) == 24
+    models = enumerate_models(3, filters=("completely_regular",))
+    assert 0 < len(models) < 24
+    models_neg = enumerate_models(3, filters=("not:completely_regular",))
+    assert len(models) + len(models_neg) == 24
 
 
 def test_enumerate_w_filter_consistency():
-    by_identity = enumerate_models(SearchSpec(order=3, structural_filters=("W",)))
-    by_structure = enumerate_models(SearchSpec(order=3, structural_filters=("in_W_structural",)))
-    assert [m.base for m in by_identity.models] == [
-        m.base if isinstance(m, UnarySemigroup) else m for m in by_structure.models
+    by_identity = enumerate_models(3, filters=("W",))
+    by_structure = enumerate_models(3, filters=("in_W_structural",))
+    assert [m.base for m in by_identity] == [
+        m.base if isinstance(m, UnarySemigroup) else m for m in by_structure
     ]
 
 
 def test_enumerate_deterministic():
-    spec = SearchSpec(order=3, structural_filters=("E1",))
-    a = enumerate_models(spec)
-    b = enumerate_models(spec)
-    assert a.models == b.models
+    a = enumerate_models(3, filters=("E1",))
+    b = enumerate_models(3, filters=("E1",))
+    assert a == b
 
 
 def test_free_unary_mode():
     # x'' = x with a free unary map on the trivial semigroup: only the
     # identity map survives on one element
-    spec = SearchSpec(order=1, identities=(parse_identity("x'' = x"),), free_unary=True)
-    result = enumerate_models(spec)
-    assert len(result.models) == 1
+    models = enumerate_models(1, identities=(parse_identity("x'' = x"),), unary="free")
+    assert len(models) == 1
     # on the two-element semilattice there are two involutions, but the
     # swap is not a homomorphism constraint here, just a unary map
-    spec2 = SearchSpec(order=2, identities=(parse_identity("x'' = x"),), free_unary=True)
-    result2 = enumerate_models(spec2)
-    for m in result2.models:
+    models2 = enumerate_models(2, identities=(parse_identity("x'' = x"),), unary="free")
+    for m in models2:
         for x in range(2):
             assert m.unary[m.unary[x]] == x
 
 
 def _model_specs():
+    # the arguments of enumerate_models in every mode
     x_twice = (parse_identity("x'' = x"),)
     for order in (1, 2, 3, 4):
         for merge in (False, True):
-            yield SearchSpec(order=order, canonical_unary=False, merge_anti_isomorphic=merge)
-            yield SearchSpec(order=order, merge_anti_isomorphic=merge)
+            yield dict(order=order, identities=(), unary=None, merge_anti=merge)
+            yield dict(order=order, identities=(), unary="pseudoinverse", merge_anti=merge)
         if order <= 2:
-            yield SearchSpec(order=order, identities=x_twice, free_unary=True)
+            yield dict(order=order, identities=x_twice, unary="free", merge_anti=False)
 
 
 def opposite(model):
@@ -325,29 +333,28 @@ def opposite(model):
 
 def test_enumerated_models_are_valid_distinct_and_sorted():
     # what enumerate_models emits, in every mode: semigroups satisfying the
-    # spec's identities, one per class, ascending by canonical form
+    # identities asked for, one per class, ascending by canonical form
     for spec in _model_specs():
-        models = enumerate_models(spec).models
+        models = enumerate_models(**spec)
         for model in models:
             validate(model.base if isinstance(model, UnarySemigroup) else model)
-            for ident in spec.identities:
+            for ident in spec["identities"]:
                 assert find_counterexample(model, ident) is None
         forms = [canonical_form(m) for m in models]
         assert len(set(forms)) == len(forms)
         assert forms == sorted(forms)
-        if spec.merge_anti_isomorphic:
+        if spec["merge_anti"]:
             # each class is represented by the smaller of its two forms
             assert forms == [min(canonical_form(m), canonical_form(opposite(m))) for m in models]
-            assert len(models) == KNOWN_ANTI_COUNTS[spec.order]
-            assert len(models) == count_semigroups(spec.order, merge_anti=True)
-        elif not spec.free_unary:
-            assert len(models) == KNOWN_COUNTS[spec.order]
+            assert len(models) == KNOWN_ANTI_COUNTS[spec["order"]]
+            assert len(models) == count_semigroups(spec["order"], merge_anti=True)
+        elif spec["unary"] != "free":
+            assert len(models) == KNOWN_COUNTS[spec["order"]]
 
 
 def test_cross_search_cap():
-    spec = SearchSpec(order=7, structural_filters=("not:variant_of_CR",))
     with pytest.raises(CapExceeded):
-        enumerate_models(spec)
+        enumerate_models(7, filters=("not:variant_of_CR",))
 
 
 def test_census_reproduces():
@@ -356,8 +363,7 @@ def test_census_reproduces():
     assert outcome.detail.startswith("counts {1: 0, 2: 0, 3: 0, 4: 3}, matching {")
     matching = ast.literal_eval(outcome.detail.split("matching ", 1)[1])
     assert sorted(matching.values()) == [0, 1, 2]
-    spec = SearchSpec(order=4, structural_filters=("V1", "not:variant_of_CR"))
-    for model in enumerate_models(spec).models:
+    for model in enumerate_models(4, filters=("V1", "not:variant_of_CR")):
         assert model.canonical
         # the non-regular element collapses onto another under x -> x'
         assert len(set(model.unary)) == 3

@@ -16,7 +16,7 @@ from epivariants.core import (
 )
 from epivariants.corpus import load_corpus
 from epivariants.epigroup import is_completely_regular, pseudoinverse_map
-from epivariants.search import SearchSpec, enumerate_models, semigroup_tables
+from epivariants.search import enumerate_models, semigroup_tables
 from epivariants.variants import (
     check_pseudoinverse_transport,
     is_variant_of_cr,
@@ -368,9 +368,8 @@ def test_membership_matches_linear_scan_at_order_5():
     members = [is_variant_of_cr(m) for m in candidates]
     assert members == [linear_scan_witness(m) is not None for m in candidates]
     assert members.count(False) == 54
-    spec = SearchSpec(order=5, structural_filters=("V1", "not:variant_of_CR"))
     census = tuple(m for m, member in zip(candidates, members) if not member)
-    assert enumerate_models(spec).models == census
+    assert enumerate_models(5, filters=("V1", "not:variant_of_CR")) == census
 
 
 def test_unary_variant_of_z3_recognized():
