@@ -163,7 +163,8 @@ def cmd_variety(args, argv):
         model = pseudoinverse_map(model)
     try:
         tests = [variety_test(name) for name in names]
-    except ValueError as exc:
+        ident = parse_identity(args.identity) if args.identity else None
+    except (ValueError, IdentityParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if "W" in names and not model.canonical:
@@ -180,12 +181,7 @@ def cmd_variety(args, argv):
             detail=None if report.holds else str(report.failing_identity),
             counterexample=report.failing_assignment,
         )
-    if args.identity:
-        try:
-            ident = parse_identity(args.identity)
-        except Exception as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    if ident is not None:
         env = find_counterexample(model, ident)
         rb.add(ident.text, "pass" if env is None else "fail", counterexample=env)
     report = rb.finish()

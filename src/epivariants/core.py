@@ -305,20 +305,6 @@ def _backtrack(t1, u1, sig1, t2, u2, sig2):
     return None
 
 
-def relabel(s, perm):
-    """Apply the bijection a -> perm[a] to a table or unary semigroup."""
-    table, unary = _unpack(s)
-    n = len(table)
-    inv = [0] * n
-    for a, b in enumerate(perm):
-        inv[b] = a
-    rows = [[perm[table[inv[x]][inv[y]]] for y in range(n)] for x in range(n)]
-    if unary is None:
-        return CayleyTable(rows)
-    new_unary = [perm[unary[inv[x]]] for x in range(n)]
-    return UnarySemigroup(CayleyTable(rows), new_unary)
-
-
 # Relabelings are cached for every order up to this one, the largest that
 # the table search enumerates.
 MAX_PLAIN_ORDER = 6

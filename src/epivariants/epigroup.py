@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import TABLE_CACHE_SIZE, UnarySemigroup, _powers
-from .varieties import _compiled, _first_failure, parse_identity
+from .varieties import _compiled, parse_identity
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def is_completely_regular(t):
     return all(k == 1 for k in epigroup_data(t).index)
 
 
-# (identity, its one-identity basis), parsed and compiled once
+# (identity, its one-identity basis's first_failure), parsed and compiled once
 _PSEUDOINVERSE_BASES = tuple(
     (ident, _compiled((ident,)))
     for ident in map(parse_identity, (
@@ -74,7 +74,7 @@ def verify_epigroup_identities(s):
     counterexample None on success.
     """
     results = []
-    for ident, basis in _PSEUDOINVERSE_BASES:
-        hit = _first_failure(s, basis)
+    for ident, first_failure in _PSEUDOINVERSE_BASES:
+        hit = first_failure(s)
         results.append((ident, None if hit is None else hit[1]))
     return results

@@ -44,7 +44,7 @@ from .core import (
     validate,
 )
 from .epigroup import is_completely_regular, pseudoinverse_map
-from .varieties import _compiled, _first_failure, in_W_structural, variety_test
+from .varieties import _compiled, in_W_structural, variety_test
 
 
 def _assign(t, a, b, n, where, force, trail):
@@ -276,10 +276,10 @@ def enumerate_models(order, identities=(), filters=(), unary="pseudoinverse", me
         if pinv_only:
             raise ValueError(f"free unary maps cannot be filtered by {', '.join(pinv_only)}: "
                              "W reads only the pseudoinverse map")
-    basis = _compiled(identities)
+    first_failure = _compiled(identities)
     found = {}
     for model in _candidates(semigroup_tables(order), unary):
-        if (not identities or _first_failure(model, basis) is None) and all(
+        if (not identities or first_failure(model) is None) and all(
             pred(model) for pred in predicates
         ):
             table, images = _unpack(model)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product as iproduct
-from typing import NamedTuple
 
 
 class UnboundVariable(Exception):
@@ -226,94 +225,95 @@ def eval_term(term, s, env):
     return s.base.table[eval_term(term[1], s, env)][eval_term(term[2], s, env)]
 
 
-def _render(term, slots):
-    # the term as a nested index expression over T (table), U (unary map) and
-    # the variable slots v0, v1, ...; no text of the term enters the source
+_LOCAL_DEPTH = 100  # Python's parser refuses about 200 nested brackets
+
+
+def _render(term, slots, bound, depth=0):
+    # the term as a nested index expression over T (table), U (unary map)
+    # and the variable slots v0, v1, ...; no text of the term enters the
+    # source.  The subterms at each multiple of _LOCAL_DEPTH levels are bound
+    # to locals w0, w1, ... first, their assignments in bound; a right operand
+    # that binds locals has its row T[left] bound before them, so bound and
+    # then the expression read cells in eval_term's order.
     kind = term[0]
     if kind == "var":
-        return f"v{slots[term[1]]}"
-    if kind == "prime":
-        return f"U[{_render(term[1], slots)}]"
-    return f"T[{_render(term[1], slots)}][{_render(term[2], slots)}]"
+        text = f"v{slots[term[1]]}"
+    elif kind == "prime":
+        text = f"U[{_render(term[1], slots, bound, depth + 1)}]"
+    else:
+        row = f"T[{_render(term[1], slots, bound, depth + 1)}]"
+        mark = len(bound)
+        right = _render(term[2], slots, bound, depth + 1)
+        if len(bound) > mark:
+            row = _bind(row, bound, mark)
+        text = f"{row}[{right}]"
+    if depth and not depth % _LOCAL_DEPTH:
+        return _bind(text, bound, len(bound))
+    return text
 
 
-class _Basis(NamedTuple):
-    """A tuple of identities compiled for ``_first_failure``."""
-
-    names: tuple
-    kernel: object
-    identities: tuple
+def _bind(text, bound, at):
+    name = f"w{len(bound)}"
+    bound.insert(at, f"{name} = {text}")
+    return name
 
 
 @lru_cache(maxsize=256)
 def _compiled(identities):
-    """The ``_Basis`` of a tuple of identities, compiled once per distinct
-    tuple (cached by value): ``names[i]`` is ``identities[i].variables``, and
-    kernel(T, U, R) runs, for each identity in turn, one nested loop over R
-    per variable, and returns ``(i, values)`` for the first failing identity
-    i and its first failing assignment, or None.  The kernel is None when
-    some term nests too deeply for the compiler (about 200 levels).
-    ``in_E``, ``in_V`` and ``in_W`` look their basis up here once and keep
-    it; ``find_counterexample`` looks its basis of one identity up on every
-    call."""
+    """first_failure(s) for a tuple of identities, compiled once per
+    distinct tuple (cached by value): ``(identity, assignment)`` for the
+    first identity that s fails and its lexicographically first failing
+    assignment, a dict in ``identity.variables`` order, or None.
+
+    The basis is one Python function: for each identity, one nested loop
+    per variable (one loop over their product past Python's 20 nested
+    blocks) around ``if lhs != rhs``, whose index expressions (``T[l][r]``,
+    ``U[c]``) are built from the term trees alone.  The loops run in
+    ``itertools.product`` order and every cell is read in ``eval_term``'s
+    order, across the locals that cut a term every 100 levels too: the
+    result, and any exception from a bad unary map, is the brute force's
+    over ``eval_term``, for every term that ``parse_term`` or the E_n and
+    V_n constructors build."""
     names = tuple(identity.variables for identity in identities)
     lines = ["def kernel(T, U, R):"]
-    try:
-        for i, (identity, variables) in enumerate(zip(identities, names)):
-            slots = {name: j for j, name in enumerate(variables)}
-            k = len(slots)
-            lhs, rhs = _render(identity.lhs, slots), _render(identity.rhs, slots)
-            lines += [" " * (4 + 4 * j) + f"for v{j} in R:" for j in range(k)]
-            pad = " " * (4 + 4 * k)
-            hit = "".join(f"v{j}, " for j in range(k))
-            lines += [f"{pad}if {lhs} != {rhs}:", f"{pad}    return {i}, ({hit})"]
-        lines.append("    return None")
-        namespace = {}
-        exec(compile("\n".join(lines), "<identity kernel>", "exec"), namespace)
-    except (SyntaxError, RecursionError, MemoryError):
-        return _Basis(names, None, identities)
-    return _Basis(names, namespace["kernel"], identities)
+    for i, (identity, variables) in enumerate(zip(identities, names)):
+        slots = {name: j for j, name in enumerate(variables)}
+        k = len(slots)
+        bound = []
+        lhs = _render(identity.lhs, slots, bound)
+        mark = len(bound)
+        rhs = _render(identity.rhs, slots, bound)
+        if len(bound) > mark:
+            lhs = _bind(lhs, bound, mark)
+        hit = "".join(f"v{j}, " for j in range(k))
+        loops = [f"for v{j} in R:" for j in range(k)]
+        if k > 20:
+            loops = [f"for {hit}in P(R, repeat={k}):"]
+        lines += [" " * (4 + 4 * j) + loop for j, loop in enumerate(loops)]
+        pad = " " * (4 + 4 * len(loops))
+        lines += [pad + line for line in bound]
+        lines += [f"{pad}if {lhs} != {rhs}:", f"{pad}    return {i}, ({hit})"]
+    lines.append("    return None")
+    namespace = {"P": iproduct}
+    exec(compile("\n".join(lines), "<identity kernel>", "exec"), namespace)
+    kernel = namespace["kernel"]
 
-
-def _first_failure(s, basis):
-    """``(identity, assignment)`` for the first identity of a ``_compiled``
-    basis that s fails, with its lexicographically first failing assignment
-    as a dict in ``identity.variables`` order, or None if s satisfies them
-    all.
-
-    The kernel is one Python function: for each identity in turn, one
-    nested loop per variable, in ``identity.variables`` order, around
-    ``if lhs != rhs``.  Terms become nested index expressions (``T[l][r]``
-    for a product, ``U[c]`` for the unary image) over slots v0, v1, ...;
-    the source is built from the term trees alone, so no text of an
-    identity reaches it.  The loops run in ``itertools.product`` order, and
-    Python evaluates lhs before rhs and left before right, as ``eval_term``
-    does: the result, and any exception from a bad unary map, is the one
-    the brute force over ``eval_term`` gives, identity by identity.  A basis
-    with a term nested too deeply to compile takes that brute force
-    instead."""
-    names, kernel, identities = basis
-    T = s.base.table
-    if kernel is not None:
+    def first_failure(s):
+        T = s.base.table
         hit = kernel(T, s.unary, range(len(T)))
         if hit is None:
             return None
         i, values = hit
         return identities[i], dict(zip(names[i], values))
-    for identity, variables in zip(identities, names):
-        for values in iproduct(range(len(T)), repeat=len(variables)):
-            env = dict(zip(variables, values))
-            if eval_term(identity.lhs, s, env) != eval_term(identity.rhs, s, env):
-                return identity, env
-    return None
+
+    return first_failure
 
 
 def find_counterexample(s, identity):
     """The lexicographically first failing assignment, as a dict in
     ``identity.variables`` order, or None if the identity holds: the basis
-    of one identity through ``_first_failure``, with its kernel and its
-    fallback for deep terms."""
-    hit = _first_failure(s, _compiled((identity,)))
+    of one identity through ``_compiled``."""
+    hit = _compiled((identity,))(s)
     return None if hit is None else hit[1]
 
 
@@ -326,14 +326,14 @@ class VarietyReport:
 
 
 def _prepared(name, identities):
-    """``(basis, holds)``: the ``_compiled`` basis, and the one report of a
-    model that satisfies it, shared by every such model."""
+    """``(first_failure, holds)``: the ``_compiled`` basis, and the one
+    report of a model that satisfies it, shared by every such model."""
     return _compiled(identities), VarietyReport(name, True)
 
 
 def _report(s, prepared):
-    basis, holds = prepared
-    hit = _first_failure(s, basis)
+    first_failure, holds = prepared
+    hit = first_failure(s)
     if hit is None:
         return holds
     return VarietyReport(holds.name, False, *hit)

@@ -1,8 +1,8 @@
-"""Test-only builders and references: transformation closures, S^1, and the
-per-element variant-index check."""
+"""Test-only builders and references: transformation closures, S^1,
+relabelled copies, and the per-element variant-index check."""
 
 from epivariants import variants
-from epivariants.core import CapExceeded, CayleyTable, identity_of
+from epivariants.core import CapExceeded, CayleyTable, UnarySemigroup, identity_of
 from epivariants.epigroup import epigroup_data
 
 
@@ -30,6 +30,19 @@ def adjoin_identity(t):
         return t
     rows = [list(row) + [a] for a, row in enumerate(t.table)]
     return CayleyTable(rows + [list(range(t.order + 1))])
+
+
+def relabel(s, perm):
+    """Apply the bijection a -> perm[a] to a table or unary semigroup."""
+    table = s.base.table if isinstance(s, UnarySemigroup) else s.table
+    n = len(table)
+    inv = [0] * n
+    for a, b in enumerate(perm):
+        inv[b] = a
+    rows = [[perm[table[inv[x]][inv[y]]] for y in range(n)] for x in range(n)]
+    if not isinstance(s, UnarySemigroup):
+        return CayleyTable(rows)
+    return UnarySemigroup(CayleyTable(rows), [perm[s.unary[inv[x]]] for x in range(n)])
 
 
 def check_variant_index(s, c, a):

@@ -128,9 +128,26 @@ def test_variety_adhoc_identity(corpus_file, capsys):
         assert main(["variety", path, "--identity", f"{term} = x"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: term nested deeper than 500 levels in ")
-    # x^300 is deeper than the identity compiler takes, and still runs
+    # x^300 nests past Python's bound on brackets; the identity compiler
+    # binds its subterms to locals and runs it
     assert main(["variety", path, "--identity", "x^300 = x"]) == 1
     assert capsys.readouterr().out.startswith("fail  x*x*x*")
+
+
+def test_variety_parses_identity_before_any_test(corpus_file, capsys, monkeypatch):
+    # an unreadable --identity is refused before any --test variety runs
+    from epivariants import varieties
+
+    calls = []
+    in_V = varieties.in_V
+    monkeypatch.setattr(varieties, "in_V", lambda s, n: calls.append(n) or in_V(s, n))
+    path = corpus_file("z3.sgp")
+    assert main(["variety", path, "--test", "V1", "--identity", "x^2000 = x"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: term nested deeper than 500 levels in ")
+    assert calls == []
+    assert main(["variety", path, "--test", "V1", "--identity", "x = x"]) == 0
+    assert calls == [1]
 
 
 def test_variety_unreadable_exponent_is_input_error(corpus_file, capsys):

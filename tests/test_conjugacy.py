@@ -3,12 +3,12 @@ from itertools import permutations
 
 from epivariants import checks
 from epivariants.conjugacy import check_transitivity
-from epivariants.core import CapExceeded, CayleyTable, relabel
+from epivariants.core import CapExceeded, CayleyTable
 from epivariants.corpus import corpus_names, load_corpus
 from epivariants.search import semigroup_tables
 from epivariants.variants import variant
 
-from _tables import adjoin_identity, closure
+from _tables import adjoin_identity, closure, relabel
 
 NULL2 = CayleyTable([[0, 0], [0, 0]])
 NONTRANS4 = CayleyTable([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 2, 3]])

@@ -18,14 +18,13 @@ from epivariants.core import (
     emit_semigroup,
     find_isomorphism,
     parse_semigroup,
-    relabel,
     validate,
 )
 from epivariants.corpus import corpus_names, corpus_text, load_corpus
 from epivariants.epigroup import pseudoinverse_map
 from epivariants.search import semigroup_tables
 
-from _tables import adjoin_identity, closure
+from _tables import adjoin_identity, closure, relabel
 
 Z2 = CayleyTable([[0, 1], [1, 0]])
 NULL2 = CayleyTable([[0, 0], [0, 0]])

@@ -7,7 +7,7 @@ from epivariants.green import green, idempotents, is_group_h_class
 from epivariants.search import semigroup_tables
 from epivariants.variants import variant
 
-from _tables import adjoin_identity, closure
+from _tables import adjoin_identity, closure, relabel
 
 LEFT_ZERO = CayleyTable([[0, 0], [1, 1]])
 NULL2 = CayleyTable([[0, 0], [0, 0]])
@@ -71,8 +71,6 @@ def test_idempotents():
 
 def test_class_maps_iso_invariant():
     from itertools import permutations
-
-    from epivariants.core import relabel
 
     g = green(W_WITNESS)
     for p in permutations(range(4)):

@@ -317,15 +317,62 @@ def test_equal_identities_hash_equal_and_share_a_kernel():
     assert compiled((commute, parsed)) is not compiled((parsed, commute))
 
 
-DEEP = parse_identity("x^300 = x^2")  # too deeply nested for the compiler
+DEEP = parse_identity("x^300 = x^2")
+# identities nested past Python's bound of about 200 brackets, whose kernels
+# bind subterms to locals: in left operands (DEEP), in right operands (the
+# right-nested product, 240 deep, and x'^200*(y*x')^150) and in the rhs
+DEEP_IDENTITIES = (
+    DEEP,
+    parse_identity("x*" + "(y'*" * 239 + "y" + ")" * 239 + " = y*x"),
+    parse_identity("x'^200*(y*x')^150 = (x^120)''*y"),
+)
 
 
-def test_kernel_deep_term_falls_back_to_eval_term():
-    # the brute force answers instead
-    assert varieties._compiled((DEEP,))[1] is None
+def test_kernel_runs_deep_terms():
     for name in ("z3.sgp", "null2.sgp", "w_not_v1.sgp"):
         s = canonical(name)
-        assert find_counterexample(s, DEEP) == brute_force_counterexample(s, DEEP)
+        for identity in DEEP_IDENTITIES:
+            assert find_counterexample(s, identity) == brute_force_counterexample(s, identity)
+
+
+def test_kernel_runs_bases_built_past_the_parse_bound():
+    # the constructors build E_600 and V_600 about 600 levels deep, past
+    # what parse_term takes; each deep identity also runs alone on every
+    # unary map, where it fails too
+    p, c = varieties.EQ_PINV_FIXED, varieties.EQ_COMMUTE
+    bases = [
+        (partial(in_E, n=600), (p, c, e_identity(600))),
+        (partial(in_V, n=600), (p, c, v_identity_1(600), v_identity_2(600))),
+    ]
+    failing = set()
+    for name in ("z3.sgp", "null2.sgp"):
+        s = canonical(name)
+        for test, basis in bases:
+            assert report_triple(test(s)) == brute_force_report(s, basis) == (True, None, None)
+        for u in product(range(s.order), repeat=s.order):
+            model = UnarySemigroup(s.base, u)
+            for test, basis in bases:
+                assert report_triple(test(model)) == brute_force_report(model, basis), model
+                for identity in basis[2:]:
+                    expected = brute_force_counterexample(model, identity)
+                    assert find_counterexample(model, identity) == expected, (model, identity)
+                    if expected is not None:
+                        failing.add(identity)
+    assert failing == {e_identity(600), v_identity_1(600), v_identity_2(600)}
+
+
+def test_kernel_runs_identities_past_twenty_variables():
+    # Python nests at most 20 blocks, so more variables share one loop over
+    # their product, in the same order
+    semilattice = UnarySemigroup(CayleyTable([[0, 0], [0, 1]]), (0, 1))
+    trivial = UnarySemigroup(CayleyTable([[0]]), (0,))
+    for k in (20, 21, 26):
+        letters = "abcdefghijklmnopqrstuvwxyz"[:k]
+        identity = parse_identity(f"{letters} = {letters[-6:]}")
+        got = find_counterexample(semilattice, identity)
+        assert got == brute_force_counterexample(semilattice, identity)
+        assert list(got.items()) == [(v, int(v in letters[-6:])) for v in letters]
+        assert find_counterexample(trivial, identity) is None
 
 
 def test_parse_refuses_terms_nested_past_the_bound():
@@ -395,12 +442,10 @@ def test_exponent_is_ascii_digits():
     assert parse_term("x^007") == parse_term("x^7")
 
 
-def test_basis_with_one_deep_identity_falls_back_as_a_whole():
-    # one identity nests too deeply, so the basis runs on eval_term alone:
-    # the same report as the brute force, whichever identity fails first
+def test_basis_with_one_deep_identity_reports_like_brute_force():
+    # one identity nests past Python's bound on brackets: the same report as
+    # the brute force, whichever identity fails first
     basis = (varieties.EQ_PINV_FIXED, DEEP, parse_identity("x*y = y*x"))
-    assert varieties._compiled(basis)[1] is None
-    assert varieties._compiled(basis[::2])[1] is not None
     failing = set()
     for s in kernel_models()[::5]:
         expected = brute_force_report(s, basis)
@@ -415,7 +460,8 @@ def test_kernel_bad_unary_map_behaves_like_eval_term(unary):
     # an entry out of range raises the oracle's exception at the same
     # assignment; a negative one indexes from the end in both
     s = UnarySemigroup(CayleyTable([[0, 1], [1, 0]]), unary)
-    for identity in (parse_identity("x*x' = x'*x"), parse_identity("x'' = x")):
+    shallow = (parse_identity("x*x' = x'*x"), parse_identity("x'' = x"))
+    for identity in shallow + DEEP_IDENTITIES:
         try:
             expected = brute_force_counterexample(s, identity)
         except IndexError as exc:
@@ -423,7 +469,8 @@ def test_kernel_bad_unary_map_behaves_like_eval_term(unary):
                 find_counterexample(s, identity)
             assert str(got.value) == str(exc)
         else:
-            assert unary == (0, -1)
+            # the shallow identities read the entry out of range
+            assert unary == (0, -1) or identity in DEEP_IDENTITIES
             assert find_counterexample(s, identity) == expected
 
 
@@ -454,7 +501,7 @@ def test_kernel_evaluates_in_eval_term_order(unary):
     # the same cells and unary images, read in the same order, up to the
     # same counterexample or exception
     table = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
-    for identity in KERNEL_IDENTITIES:
+    for identity in [*KERNEL_IDENTITIES, *DEEP_IDENTITIES]:
         logs = []
         for fn in (brute_force_counterexample, find_counterexample):
             log = []
