@@ -1,10 +1,17 @@
 """Exhaustive enumeration of small semigroups up to isomorphism.
 
 The enumerator fixes the first row, then fills the rest of the
-multiplication table cell by cell in row-major order.  Three tests cut the
-tree; the last two are one routine, ``core._lex_leader``, which also
-computes ``core.canonical_form``.
+multiplication table cell by cell in row-major order.  A rule at the root
+and three tests cut the tree; the last two tests are one routine,
+``core._lex_leader``, which also computes ``core.canonical_form``.
 
+- Root rule.  Every first row starts with 0: every canonical table has
+  0 * 0 = 0.  A finite semigroup has an idempotent e (a power of any
+  element), and a relabeling that sends e to 0 makes cell (0, 0) hold 0,
+  the least value; the canonical form is the least serialization over all
+  relabelings, so its first cell is 0 too.  Only the n^(n-1) first rows
+  (0, r1, ..., r(n-1)) are tried, out of n^n, and only subtrees with no
+  canonical table go.
 - Forward checking (``_assign``).  Setting cell (a, b) to v walks the
   triples that use it: (a, b, z), (z, a, b), (x, y, b) with xy = a and
   (a, x, y) with xy = b; the last two come from a per-value index
@@ -26,7 +33,8 @@ computes ``core.canonical_form``.
 - Leaf test.  A complete table is kept only when no relabeling makes it
   lexicographically smaller, so each isomorphism class is emitted exactly
   once, as its canonical form.  This test alone decides canonicity; the
-  other two only cut subtrees that hold no canonical table.
+  root rule and the other two tests only cut subtrees that hold no
+  canonical table.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from .core import (
     validate,
 )
 from .epigroup import is_completely_regular, pseudoinverse_map
-from .varieties import _compiled, in_W_structural, variety_test
+from .varieties import _UnknownVariety, _compiled, in_W_structural, variety_test
 
 
 def _assign(t, a, b, n, where, force, trail):
@@ -172,7 +180,9 @@ def semigroup_tables(order):
         return _TABLE_CACHE[order]
     n = order
     tables = []
-    for first in iproduct(range(n), repeat=n):
+    # the root rule: every canonical table has 0 * 0 = 0
+    for rest in iproduct(range(n), repeat=n - 1):
+        first = (0, *rest)
         t = [list(first)] + [[-1] * n for _ in range(n - 1)]
         if n > 1 and _lex_leader(t, rows=1, stop=True) is None:
             continue
@@ -223,7 +233,7 @@ def resolve_filter(name):
     else:
         try:
             test = variety_test(base_name)
-        except ValueError:
+        except _UnknownVariety:
             raise ValueError(f"unknown filter {name!r}") from None
         pred = lambda m: test(m).holds
     if base_name != name:
@@ -291,10 +301,19 @@ def enumerate_models(order, identities=(), filters=(), unary="pseudoinverse", me
     forms = sorted(found)
     if merge_anti:
         # of each anti-isomorphic pair of classes, the one of smaller form;
-        # the opposite's form is its transposed table's lex leader
+        # the opposite's form is its transposed table's lex leader, with the
+        # unary map unchanged.  The opposite's model is a copy of that
+        # transpose, so its own transpose is a copy of this model and its
+        # walk would give this form back: one walk keys both classes, and
+        # the opposite, if it passed, reuses the key when it comes up
         merged = {}
+        keys = {}
         for form in forms:
-            table, images = _unpack(found[form])
-            merged.setdefault(min(form, _lex_leader(tuple(zip(*table)), images)), form)
+            key = keys.pop(form, None)
+            if key is None:
+                table, images = _unpack(found[form])
+                opposite = _lex_leader(tuple(zip(*table)), images)
+                key = keys[opposite] = min(form, opposite)
+            merged.setdefault(key, form)
         forms = merged.values()
     return tuple(found[form] for form in forms)

@@ -425,15 +425,36 @@ def in_W(s):
     return _report(s, _w_basis())
 
 
+class _UnknownVariety(ValueError):
+    pass
+
+
+# how many levels deeper than n the deepest term of each family's basis
+# nests, written out as parse_term reads it: x*...*x*x' with n + 1 factors
+# x (E_n) and x''*x*...*x*y with n - 1 (V_n)
+_DEPTH_PAST_N = {"E": 1, "V": 2}
+
+
 def variety_test(name):
     """The membership test that a variety name denotes: ``W``, or ``E<n>``
     or ``V<n>`` with n >= 1 in decimal digits.  Raises ValueError on any
-    other name, before any test runs."""
+    other name, and on an n whose basis, written out, nests deeper than
+    ``MAX_TERM_DEPTH`` levels, the parser's bound: past E499 and V498.
+    Either is raised before any term is built or any test runs."""
     if name == "W":
         return in_W
-    if name[:1] in ("E", "V") and name[1:].isdecimal() and int(name[1:]) >= 1:
-        return partial(in_E if name[0] == "E" else in_V, n=int(name[1:]))
-    raise ValueError(f"unknown variety {name!r}")
+    family, digits = name[:1], name[1:].lstrip("0")
+    if family in _DEPTH_PAST_N and digits.isdecimal():
+        # a long digit string is never read by int(), which has a limit
+        if len(digits) > len(str(MAX_TERM_DEPTH)) or (
+            int(digits) + _DEPTH_PAST_N[family] > MAX_TERM_DEPTH
+        ):
+            raise ValueError(
+                f"the basis of {name} nests terms deeper than the bound of "
+                f"{MAX_TERM_DEPTH} levels"
+            )
+        return partial(in_E if family == "E" else in_V, n=int(digits))
+    raise _UnknownVariety(f"unknown variety {name!r}")
 
 
 def in_W_structural(t):

@@ -201,6 +201,23 @@ def test_variety_unknown_name(corpus_file, capsys):
         assert capsys.readouterr().err.endswith(f"error: unknown filter {name!r}\n")
 
 
+def test_variety_past_the_parse_depth(corpus_file, capsys):
+    # E_n and V_n whose basis, written out, nests past the parser's bound
+    # are input errors in both commands, named by the bound
+    path = corpus_file("w_not_v1.sgp")
+    for name in ("E2000", "V990", "E500", "V499"):
+        message = f"error: the basis of {name} nests terms deeper than the bound of 500 levels\n"
+        assert main(["variety", path, "--test", name]) == 2
+        assert capsys.readouterr() == ("", message)
+        assert main(["enumerate", "--order", "2", "--filter", f"not:{name}"]) == 2
+        assert capsys.readouterr() == ("", message)
+    # the deepest names accepted run as any other
+    assert main(["variety", path, "--test", "E499,V498"]) == 0
+    assert capsys.readouterr().out == "pass  E499\npass  V498\n"
+    assert main(["enumerate", "--order", "2", "--filter", "E499", "--count-only"]) == 0
+    assert capsys.readouterr().out == "5\n"
+
+
 def test_variant_round_trip(corpus_file, capsys):
     assert main(["variant", corpus_file("z3.sgp"), "--at", "1", "--unary"]) == 0
     model = parse_semigroup(capsys.readouterr().out)

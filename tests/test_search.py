@@ -136,6 +136,16 @@ def test_prefix_test_rejects_only_non_canonical_tables():
     assert rejected > 0
 
 
+def test_every_canonical_form_starts_with_an_idempotent_zero():
+    # the root rule, checked without the search: every labelled semigroup
+    # of order <= 4, so every class in every labelling, has 0 * 0 = 0 in
+    # its canonical form, the first cell after the order byte
+    for order in (1, 2, 3, 4):
+        forms = {canonical_form(t) for t in labelled_semigroups(order)}
+        assert len(forms) == KNOWN_COUNTS[order]
+        assert {form[1] for form in forms} == {0}
+
+
 def test_tables_are_valid_canonical_and_sorted():
     for order in (1, 2, 3, 4):
         tables = semigroup_tables(order)
@@ -195,8 +205,10 @@ def test_forward_checking_agrees_with_labelled_backtracker(monkeypatch):
 
 
 def test_cold_order_4_search_counts(monkeypatch):
-    # forward checking: 2,760 nodes and 4,668 assignments; 2,992 and 4,857
-    # when only the cell's own filled triples narrowed its values
+    # the root rule and forward checking: 2,536 nodes and 4,332
+    # assignments; 2,760 and 4,668 when every first row was tried, and
+    # 2,992 and 4,857 when only the cell's own filled triples narrowed its
+    # values
     from epivariants import search
 
     calls = {"_fill": 0, "_assign": 0}
@@ -213,8 +225,8 @@ def test_cold_order_4_search_counts(monkeypatch):
     for name in calls:
         monkeypatch.setattr(search, name, counting(name))
     assert len(semigroup_tables(4)) == 188
-    assert calls["_fill"] <= 2800
-    assert calls["_assign"] <= 4700
+    assert calls["_fill"] <= 2536
+    assert calls["_assign"] <= 4332
 
 
 def test_order_cap():
@@ -350,6 +362,49 @@ def test_enumerated_models_are_valid_distinct_and_sorted():
             assert len(models) == count_semigroups(spec["order"], merge_anti=True)
         elif spec["unary"] != "free":
             assert len(models) == KNOWN_COUNTS[spec["order"]]
+
+
+def reference_merge(order, unary, identities=()):
+    # every form walks its own transpose: of each anti-isomorphic pair, the
+    # class met first in ascending form, keyed by the smaller of the two
+    merged = {}
+    for model in enumerate_models(order, identities=identities, unary=unary):
+        form, opposite_form = canonical_form(model), canonical_form(opposite(model))
+        merged.setdefault(min(form, opposite_form), model)
+    return tuple(merged.values())
+
+
+def test_merge_matches_a_walk_of_every_transpose():
+    x_twice = (parse_identity("x'' = x"),)
+    for order in (1, 2, 3, 4):
+        for unary in (None, "pseudoinverse"):
+            merged = enumerate_models(order, unary=unary, merge_anti=True)
+            assert merged == reference_merge(order, unary)
+    for order in (2, 3):
+        for identities in ((), x_twice):
+            merged = enumerate_models(order, identities=identities, unary="free", merge_anti=True)
+            assert merged == reference_merge(order, "free", identities)
+
+
+@pytest.mark.parametrize("unary", [None, "pseudoinverse"])
+def test_merge_walks_one_transpose_per_merged_class(monkeypatch, unary):
+    # with the tables cached, the merge is the only walk: one per class of
+    # the merged result, as the second class of a pair reuses the first's
+    # key; walking every form's transpose took 188
+    from epivariants import search
+
+    semigroup_tables(4)
+    walks = 0
+    lex_leader = search._lex_leader
+
+    def spy(*args, **kwargs):
+        nonlocal walks
+        walks += 1
+        return lex_leader(*args, **kwargs)
+
+    monkeypatch.setattr(search, "_lex_leader", spy)
+    assert len(enumerate_models(4, unary=unary, merge_anti=True)) == 126
+    assert walks == 126
 
 
 def test_cross_search_cap():

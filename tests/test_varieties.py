@@ -30,6 +30,7 @@ from epivariants.varieties import (
     tvar,
     v_identity_1,
     v_identity_2,
+    variety_test,
 )
 
 NULL2 = CayleyTable([[0, 0], [0, 0]])
@@ -392,6 +393,24 @@ def test_parse_refuses_terms_nested_past_the_bound():
     ):
         with pytest.raises(IdentityParseError, match=f"nested deeper than {bound} levels"):
             parse_term(text)
+
+
+def test_variety_names_are_bounded_by_the_parse_depth():
+    # E_n's deepest term, written out, nests n + 1 levels and V_n's n + 2:
+    # the names are accepted exactly as far as parse_term takes the basis
+    # typed in, and refused past it by variety_test, which builds no term
+    bound = varieties.MAX_TERM_DEPTH
+    for family, deepest, last in (("E", e_identity, bound - 1), ("V", v_identity_2, bound - 2)):
+        parse_identity(deepest(last).text)
+        with pytest.raises(IdentityParseError, match=f"nested deeper than {bound} levels"):
+            parse_identity(deepest(last + 1).text)
+        assert variety_test(f"{family}{last}").keywords == {"n": last}
+    s = canonical("z3.sgp")
+    assert variety_test("E499")(s).holds and variety_test("V498")(s).holds
+    for name in ("E500", "V499", "E2000", "V990", "E0" + "9" * 5000):
+        with pytest.raises(ValueError, match=f"^the basis of {name} nests terms deeper than "
+                                             f"the bound of {bound} levels$"):
+            variety_test(name)
 
 
 def _nested_squares(levels, base="x"):
