@@ -596,5 +596,7 @@ def run_all(stream=None):
         results.append((outcome, elapsed))
         if stream is not None:
             status = "PASS" if outcome.ok else "FAIL"
-            print(f"{status} {outcome.name}: {outcome.detail} ({elapsed:.1f}s)", file=stream)
+            # flushed, so that a pipe too sees each line as its check finishes
+            line = f"{status} {outcome.name}: {outcome.detail} ({elapsed:.1f}s)"
+            print(line, file=stream, flush=True)
     return results

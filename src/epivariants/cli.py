@@ -1,7 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 when every requested check passes, 1 on any check failure,
-2 on usage or input errors.
+Each ``cmd_*`` function only computes: it fills the report's checks and data
+and returns its text lines, or raises ``InputError``.  ``main`` alone prints
+the lines or the ``--json`` report and sets the exit code: 0 when every
+requested check passes, 1 on any check failure or when the reader closes
+stdout before the output is written, 2 on usage or input errors.
 """
 
 from __future__ import annotations
@@ -31,60 +34,59 @@ from .variants import unary_variant, variant
 from .varieties import IdentityParseError, find_counterexample, parse_identity, variety_test
 
 
+class InputError(Exception):
+    """A usage or input error: ``main`` prints ``error: <message>`` on stderr
+    and exits 2."""
+
+
 class ReportBuilder:
-    def __init__(self, argv):
+    """What a command found: its checks and data, read by ``main`` for the
+    ``--json`` report and the exit code."""
+
+    def __init__(self, argv, stream):
         self.started = time.perf_counter()
-        self.report = {"command": list(argv), "checks": [], "data": {}}
+        self.command = list(argv)
+        self.checks = []
+        self.data = {}
+        # where a command prints lines while it works: None under --json
+        self.stream = stream
 
-    def add(self, name, status, detail=None, counterexample=None):
-        entry = {"name": name, "status": status}
-        if detail is not None:
-            entry["detail"] = detail
-        if counterexample is not None:
-            entry["counterexample"] = counterexample
-        self.report["checks"].append(entry)
+    def add(self, name, status, **fields):
+        """One check's entry; a field given as None is left out."""
+        fields = {key: value for key, value in fields.items() if value is not None}
+        self.checks.append({"name": name, "status": status, **fields})
 
-    def finish(self):
-        self.report["seconds"] = time.perf_counter() - self.started
-        if not self.report["data"]:
-            del self.report["data"]
-        return self.report
+    def json(self):
+        report = {"command": self.command, "checks": self.checks}
+        if self.data:
+            report["data"] = self.data
+        report["seconds"] = time.perf_counter() - self.started
+        return json.dumps(report, indent=2, default=str)
 
     @property
     def failed(self):
-        return any(c["status"] == "fail" for c in self.report["checks"])
+        return any(c["status"] == "fail" for c in self.checks)
 
 
 def _load(path, require_valid=True):
     try:
         model = load_semigroup(path)
-        if require_valid:
-            validate(table_of(model))
-        return model
-    except (OSError, ValueError, SemigroupError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+    except (OSError, ValueError) as exc:
+        raise InputError(exc) from None
+    if require_valid:
+        validate(table_of(model))
+    return model
 
 
-def _emit_report(report, as_json):
-    if as_json:
-        print(json.dumps(report, indent=2, default=str))
-
-
-def cmd_validate(args, argv):
-    rb = ReportBuilder(argv)
+def cmd_validate(args, report):
     model = _load(args.file, require_valid=False)
     try:
         validate(table_of(model))
-        rb.add("associativity", "pass")
     except SemigroupError as exc:
-        rb.add("associativity", "fail", detail=str(exc))
-    _emit_report(rb.finish(), args.json)
-    if not args.json and not rb.failed:
-        print("ok")
-    elif not args.json:
-        print(rb.report["checks"][0]["detail"])
-    return 1 if rb.failed else 0
+        report.add("associativity", "fail", detail=str(exc))
+        return [str(exc)]
+    report.add("associativity", "pass")
+    return ["ok"]
 
 
 def _eggbox_lines(t, g):
@@ -106,11 +108,10 @@ def _eggbox_lines(t, g):
     return lines
 
 
-def cmd_green(args, argv):
-    rb = ReportBuilder(argv)
+def cmd_green(args, report):
     t = table_of(_load(args.file))
     g = green(t)
-    rb.report["data"] = {
+    report.data = {
         "r_class": list(g.r_class),
         "l_class": list(g.l_class),
         "h_class": list(g.h_class),
@@ -119,45 +120,28 @@ def cmd_green(args, argv):
         "idempotents": sorted(g.idempotents),
         "group_h_classes": sorted(g.group_h_classes),
     }
-    rb.add("green", "pass")
-    if args.json:
-        _emit_report(rb.finish(), True)
-    else:
-        for line in _eggbox_lines(t, g):
-            print(line)
-        print("idempotents:", sorted(g.idempotents))
-        print("group H-classes:", sorted(g.group_h_classes))
-    return 0
+    report.add("green", "pass")
+    return [
+        *_eggbox_lines(t, g),
+        f"idempotents: {sorted(g.idempotents)}",
+        f"group H-classes: {sorted(g.group_h_classes)}",
+    ]
 
 
-def cmd_epi(args, argv):
-    rb = ReportBuilder(argv)
+def cmd_epi(args, report):
     t = table_of(_load(args.file))
     data = epigroup_data(t)
-    s = pseudoinverse_map(t)
-    rb.report["data"] = {
-        "index": list(data.index),
-        "pseudoinverse": list(data.pseudoinverse),
-    }
-    for ident, env in verify_epigroup_identities(s):
-        rb.add(ident.text, "pass" if env is None else "fail", counterexample=env)
-    report = rb.finish()
-    if args.json:
-        _emit_report(report, True)
-    else:
-        print("index:", list(data.index))
-        print("pseudoinverse:", list(data.pseudoinverse))
-        for entry in report["checks"]:
-            print(f"{entry['status']:4s}  {entry['name']}")
-    return 1 if rb.failed else 0
+    report.data = {"index": list(data.index), "pseudoinverse": list(data.pseudoinverse)}
+    for ident, env in verify_epigroup_identities(pseudoinverse_map(t)):
+        report.add(ident.text, "pass" if env is None else "fail", counterexample=env)
+    lines = [f"index: {list(data.index)}", f"pseudoinverse: {list(data.pseudoinverse)}"]
+    return lines + [f"{entry['status']:4s}  {entry['name']}" for entry in report.checks]
 
 
-def cmd_variety(args, argv):
+def cmd_variety(args, report):
     names = [name.strip() for name in (args.test or "").split(",") if name.strip()]
     if not (names or args.identity):
-        print("error: variety needs --test or --identity", file=sys.stderr)
-        return 2
-    rb = ReportBuilder(argv)
+        raise InputError("variety needs --test or --identity")
     model = _load(args.file)
     if not isinstance(model, UnarySemigroup):
         model = pseudoinverse_map(model)
@@ -165,73 +149,60 @@ def cmd_variety(args, argv):
         tests = [variety_test(name) for name in names]
         ident = parse_identity(args.identity) if args.identity else None
     except (ValueError, IdentityParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise InputError(exc) from None
     if "W" in names and not model.canonical:
-        print(
-            f"error: W reads only the pseudoinverse map, and {args.file} carries another unary map",
-            file=sys.stderr,
+        raise InputError(
+            f"W reads only the pseudoinverse map, and {args.file} carries another unary map"
         )
-        return 2
     for name, test in zip(names, tests):
-        report = test(model)
-        rb.add(
+        result = test(model)
+        report.add(
             name,
-            "pass" if report.holds else "fail",
-            detail=None if report.holds else str(report.failing_identity),
-            counterexample=report.failing_assignment,
+            "pass" if result.holds else "fail",
+            detail=None if result.holds else str(result.failing_identity),
+            counterexample=result.failing_assignment,
         )
     if ident is not None:
         env = find_counterexample(model, ident)
-        rb.add(ident.text, "pass" if env is None else "fail", counterexample=env)
-    report = rb.finish()
-    if args.json:
-        _emit_report(report, True)
-    else:
-        for entry in report["checks"]:
-            extra = ""
-            if entry["status"] == "fail":
-                extra = f"  ({entry.get('detail') or ''} at {entry.get('counterexample')})"
-            print(f"{entry['status']:4s}  {entry['name']}{extra}")
-    return 1 if rb.failed else 0
+        report.add(ident.text, "pass" if env is None else "fail", counterexample=env)
+    lines = []
+    for entry in report.checks:
+        extra = ""
+        if entry["status"] == "fail":
+            extra = f"  ({entry.get('detail') or ''} at {entry.get('counterexample')})"
+        lines.append(f"{entry['status']:4s}  {entry['name']}{extra}")
+    return lines
 
 
-def cmd_variant(args, argv):
+def cmd_variant(args, report):
     model = _load(args.file)
     t = table_of(model)
     if not 0 <= args.at < t.order:
-        print(f"error: sandwich element {args.at} out of range", file=sys.stderr)
-        return 2
+        raise InputError(f"sandwich element {args.at} out of range")
     if args.unary:
         s = model if isinstance(model, UnarySemigroup) else pseudoinverse_map(t)
         out = unary_variant(s, args.at)
     else:
         out = variant(t, args.at)
-    sys.stdout.write(emit_semigroup(out))
-    return 0
+    return [emit_semigroup(out).rstrip("\n")]
 
 
-def cmd_conjugacy(args, argv):
-    rb = ReportBuilder(argv)
+def cmd_conjugacy(args, report):
     t = table_of(_load(args.file))
-    report = check_transitivity(t)
-    rb.report["data"] = {
-        "relation": [[int(v) for v in row] for row in report.relation],
-        "transitive": report.transitive,
-        "witness": report.witness,
-        "classes": [list(c) for c in report.classes],
+    result = check_transitivity(t)
+    classes = [list(c) for c in result.classes]
+    report.data = {
+        "relation": [[int(v) for v in row] for row in result.relation],
+        "transitive": result.transitive,
+        "witness": result.witness,
+        "classes": classes,
     }
-    rb.add("conjugacy", "pass")
-    if args.json:
-        _emit_report(rb.finish(), True)
-    else:
-        for row in report.relation:
-            print(" ".join("1" if v else "0" for v in row))
-        print("transitive:", report.transitive)
-        if report.witness:
-            print("witness:", report.witness)
-        print("classes:", [list(c) for c in report.classes])
-    return 0
+    report.add("conjugacy", "pass")
+    lines = [" ".join("1" if v else "0" for v in row) for row in result.relation]
+    lines.append(f"transitive: {result.transitive}")
+    if result.witness:
+        lines.append(f"witness: {result.witness}")
+    return [*lines, f"classes: {classes}"]
 
 
 def _read_identities(path):
@@ -261,73 +232,59 @@ def _previous_run(out):
     )
 
 
-def cmd_enumerate(args, argv):
+def cmd_enumerate(args, report):
     identities = ()
     if args.identities:
         try:
             identities = _read_identities(args.identities)
         except (OSError, ValueError, IdentityParseError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise InputError(exc) from None
     if args.out and not args.count_only:
         # a smaller run would leave the earlier run's extra models beside a
         # manifest that does not list them; the user's files are never removed
         previous = _previous_run(args.out)
         if previous:
-            print(
-                f"error: {args.out} already holds {len(previous)} files of an earlier "
-                f"--out run, {previous[0]} first; choose a new or empty directory",
-                file=sys.stderr,
+            raise InputError(
+                f"{args.out} already holds {len(previous)} files of an earlier "
+                f"--out run, {previous[0]} first; choose a new or empty directory"
             )
-            return 2
     filters = tuple(f.strip() for f in (args.filter or "").split(",") if f.strip())
     unary = "free" if args.free_unary else None if args.plain else "pseudoinverse"
     try:
         # the semigroup count is the model count unless unary maps are free
         if args.count_only and not (identities or filters or args.free_unary):
-            print(count_semigroups(args.order, merge_anti=args.merge_anti))
-            return 0
+            return [str(count_semigroups(args.order, merge_anti=args.merge_anti))]
         models = enumerate_models(args.order, identities, filters, unary, merge_anti=args.merge_anti)
-    except (ValueError, SemigroupError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        raise InputError(exc) from None
     if args.count_only:
-        print(len(models))
-        return 0
-    if args.out:
-        try:
-            os.makedirs(args.out, exist_ok=True)
-            manifest = []
-            for i, model in enumerate(models):
-                name = f"model_{i:04d}.sgp"
-                with open(os.path.join(args.out, name), "w") as fh:
-                    fh.write(emit_semigroup(model))
-                manifest.append(
-                    {"file": name, "canonical_sha256": hashlib.sha256(canonical_form(model)).hexdigest()}
-                )
-            with open(os.path.join(args.out, "manifest.json"), "w") as fh:
-                json.dump({"order": args.order, "models": manifest}, fh, indent=2)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote {len(models)} models to {args.out}")
-    else:
-        for model in models:
-            sys.stdout.write(emit_semigroup(model))
-            print()
-    return 0
+        return [str(len(models))]
+    if not args.out:
+        # each model, then a blank line
+        return [emit_semigroup(model) for model in models]
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        manifest = []
+        for i, model in enumerate(models):
+            name = f"model_{i:04d}.sgp"
+            with open(os.path.join(args.out, name), "w") as fh:
+                fh.write(emit_semigroup(model))
+            manifest.append(
+                {"file": name, "canonical_sha256": hashlib.sha256(canonical_form(model)).hexdigest()}
+            )
+        with open(os.path.join(args.out, "manifest.json"), "w") as fh:
+            json.dump({"order": args.order, "models": manifest}, fh, indent=2)
+    except OSError as exc:
+        raise InputError(exc) from None
+    return [f"wrote {len(models)} models to {args.out}"]
 
 
-def cmd_verify_paper(args, argv):
-    rb = ReportBuilder(argv)
-    stream = None if args.json else sys.stdout
-    rb.report["data"]["corpus_seconds"] = checks_module.build_corpus()
-    results = checks_module.run_all(stream=stream)
-    for outcome, seconds in results:
-        rb.add(outcome.name, "pass" if outcome.ok else "fail", detail=outcome.detail)
-        rb.report["checks"][-1]["seconds"] = seconds
-    _emit_report(rb.finish(), args.json)
-    return 1 if rb.failed else 0
+def cmd_verify_paper(args, report):
+    report.data["corpus_seconds"] = checks_module.build_corpus()
+    for outcome, seconds in checks_module.run_all(stream=report.stream):
+        status = "pass" if outcome.ok else "fail"
+        report.add(outcome.name, status, detail=outcome.detail, seconds=seconds)
+    return []
 
 
 def build_parser():
@@ -392,15 +349,25 @@ def build_parser():
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.fn(args, argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else 0
-    except SemigroupError as exc:
+        args = build_parser().parse_args(argv)
+        as_json = getattr(args, "json", False)
+        report = ReportBuilder(argv, None if as_json else sys.stdout)
+        lines = args.fn(args, report)
+        for line in [report.json()] if as_json else lines:
+            print(line)
+        sys.stdout.flush()
+    except SystemExit as exc:  # argparse's usage error, or its --help
+        return exc.code
+    except (InputError, SemigroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush at
+        # exit cannot raise again (the recipe of the signal module's docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 1 if report.failed else 0
 
 
 if __name__ == "__main__":

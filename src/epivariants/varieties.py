@@ -437,14 +437,15 @@ _DEPTH_PAST_N = {"E": 1, "V": 2}
 
 def variety_test(name):
     """The membership test that a variety name denotes: ``W``, or ``E<n>``
-    or ``V<n>`` with n >= 1 in decimal digits.  Raises ValueError on any
+    or ``V<n>`` with n >= 1 in ASCII digits.  Raises ValueError on any
     other name, and on an n whose basis, written out, nests deeper than
     ``MAX_TERM_DEPTH`` levels, the parser's bound: past E499 and V498.
     Either is raised before any term is built or any test runs."""
     if name == "W":
         return in_W
     family, digits = name[:1], name[1:].lstrip("0")
-    if family in _DEPTH_PAST_N and digits.isdecimal():
+    # ASCII digits only, as in an exponent: isdecimal() takes any script's
+    if family in _DEPTH_PAST_N and digits.isascii() and digits.isdecimal():
         # a long digit string is never read by int(), which has a limit
         if len(digits) > len(str(MAX_TERM_DEPTH)) or (
             int(digits) + _DEPTH_PAST_N[family] > MAX_TERM_DEPTH

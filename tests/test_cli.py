@@ -1,12 +1,19 @@
 import json
+import os
+import re
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
+import epivariants
 from epivariants.cli import main
 from epivariants.core import parse_semigroup
 from epivariants.corpus import corpus_text
 from epivariants.epigroup import pseudoinverse_map
+
+from test_acceptance import PAPER_DETAILS
 
 try:
     from importlib.resources import files
@@ -18,6 +25,8 @@ SCHEMA = json.loads(files("epivariants").joinpath("report.schema.json").read_tex
 DEEP_TERMS = ["x^3000", "(" * 3000 + "x" + ")" * 3000]
 # the start of the message for a term past the size bound
 WIDE = "term expands to more than 10000 variable occurrences and primes"
+# an order-4 semigroup on which primary conjugacy is not transitive
+NONTRANSITIVE = "4\n0 0 0 0\n0 0 0 0\n0 0 0 0\n0 1 2 3\n"
 
 
 @pytest.fixture
@@ -103,6 +112,40 @@ def test_epi_json(corpus_file, capsys):
     assert report["data"]["pseudoinverse"] == [2, 1, 2, 3]
     assert report["data"]["index"] == [2, 1, 1, 1]
     assert all(c["status"] == "pass" for c in report["checks"])
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (["green", "right_zero2.sgp"],
+     "D-class 0:\n  | 0* | 1* |\nidempotents: [0, 1]\ngroup H-classes: [0, 1]\n"),
+    (["epi", "w_not_v1.sgp"],
+     "index: [2, 1, 1, 1]\npseudoinverse: [2, 1, 2, 3]\n"
+     "pass  x'*x*x' = x'\npass  x*x' = x'*x\npass  x''' = x'\npass  x*x'*x = x''\n"
+     "pass  (x*y)'*x = x*(y*x)'\npass  (x*x)' = x'*x'\npass  (x*x*x)' = x'*x'*x'\n"),
+    (["conjugacy", "s3.sgp"],
+     "1 0 0 0 0 0\n0 1 0 1 1 0\n0 0 1 0 0 1\n0 1 0 1 1 0\n0 1 0 1 1 0\n0 0 1 0 0 1\n"
+     "transitive: True\nclasses: [[0], [1, 3, 4], [2, 5]]\n"),
+    (["conjugacy", "nontransitive.sgp"],
+     "1 1 1 0\n1 1 0 0\n1 0 1 0\n0 0 0 1\n"
+     "transitive: False\nwitness: (1, 0, 2)\nclasses: [[0, 1, 2], [3]]\n"),
+    (["variant", "z3.sgp", "--at", "1", "--unary"], "3\n1 2 0\n2 0 1\n0 1 2\nunary: 1 0 2\n"),
+    # each model, then a blank line
+    (["enumerate", "--order", "2"],
+     "2\n0 0\n0 0\nunary: 0 0\n\n2\n0 0\n0 1\nunary: 0 1\n\n2\n0 0\n1 1\nunary: 0 1\n\n"
+     "2\n0 1\n0 1\nunary: 0 1\n\n2\n0 1\n1 0\nunary: 0 1\n\n"),
+    (["enumerate", "--order", "2", "--free-unary", "--count-only"], "18\n"),
+    # one line a check, its seconds masked
+    (["verify-paper"], "".join(f"PASS {name}: {detail} (…s)\n" for name, _, detail in PAPER_DETAILS)),
+])
+def test_text_output(corpus_file, tmp_path, capsys, argv, stdout):
+    # a file argument names a corpus table, or the non-transitive one above
+    nontransitive = tmp_path / "nontransitive.sgp"
+    nontransitive.write_text(NONTRANSITIVE)
+    files = {nontransitive.name: str(nontransitive)}
+    argv = [files.get(a) or corpus_file(a) if a.endswith(".sgp") else a for a in argv]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert re.sub(r" \(\d+\.\ds\)$", " (…s)", out, flags=re.M) == stdout
+    assert err == ""
 
 
 def test_variety_pass_and_fail(corpus_file, capsys):
@@ -192,13 +235,18 @@ def test_variety_w_refuses_another_unary_map(tmp_path, capsys):
 
 
 def test_variety_unknown_name(corpus_file, capsys):
-    # the varieties E_n and V_n start at n = 1, written in decimal digits;
+    # the varieties E_n and V_n start at n = 1, written in ASCII digits;
     # enumerate rejects the same names before it enumerates anything
-    for name in ("Q7", "E0", "V0", "E²"):
+    for name in ("Q7", "E0", "V0", "E²", "E³", "E٣", "V٣"):
         assert main(["variety", corpus_file("z3.sgp"), "--test", name]) == 2
         assert capsys.readouterr().err.endswith(f"error: unknown variety {name!r}\n")
         assert main(["enumerate", "--order", "7", "--filter", name]) == 2
         assert capsys.readouterr().err.endswith(f"error: unknown filter {name!r}\n")
+    # leading zeros included, both commands run such names
+    assert main(["variety", corpus_file("z3.sgp"), "--test", "E3,E03,V2"]) == 0
+    assert capsys.readouterr().out == "pass  E3\npass  E03\npass  V2\n"
+    assert main(["enumerate", "--order", "2", "--filter", "E3,E03,V2", "--count-only"]) == 0
+    assert capsys.readouterr().out == "5\n"
 
 
 def test_variety_past_the_parse_depth(corpus_file, capsys):
@@ -345,6 +393,24 @@ def test_enumerate_identities_file(tmp_path, capsys):
 
 def test_enumerate_over_cap(capsys):
     assert main(["enumerate", "--order", "7", "--count-only", "--plain"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["enumerate", "--order", "5"], ["verify-paper"]])
+def test_closed_stdout_exits_1_quietly(argv):
+    # order 5 prints 134,050 bytes, more than a pipe holds, and verify-paper
+    # flushes a line as each check finishes: both still write when the reader
+    # has gone. Without PYTHONUNBUFFERED stdout is block-buffered, as in a
+    # plain shell pipe.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = os.path.dirname(os.path.dirname(epivariants.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "epivariants.cli", *argv]
+    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 def test_verify_paper_json(capsys):
