@@ -9,17 +9,15 @@ from .core import (
     SemigroupError,
     UnarySemigroup,
     canonical_form,
-    emit_semigroup,
     find_isomorphism,
     identity_of,
-    load_semigroup,
-    parse_semigroup,
     validate,
 )
 from .green import GreenStructure, green, idempotents, is_group_h_class
 from .epigroup import (
     EpigroupData,
     epigroup_data,
+    in_W_structural,
     is_completely_regular,
     pseudoinverse_map,
     verify_epigroup_identities,
@@ -27,28 +25,22 @@ from .epigroup import (
 from .varieties import (
     Identity,
     VarietyReport,
-    eval_term,
     find_counterexample,
     in_E,
     in_V,
     in_W,
-    in_W_structural,
     parse_identity,
     parse_term,
 )
-from .variants import (
-    check_pseudoinverse_transport,
-    is_variant_of_cr,
-    star,
-    unary_variant,
-    variant,
-)
+from .variants import check_pseudoinverse_transport, star, unary_variant, variant
 from .conjugacy import ConjugacyReport, check_transitivity
-from .search import (
-    count_semigroups,
-    enumerate_models,
-    semigroup_tables,
+from .search import count_semigroups, enumerate_models, is_variant_of_cr, semigroup_tables
+from .corpus import (
+    corpus_names,
+    emit_semigroup,
+    load_corpus,
+    load_semigroup,
+    parse_semigroup,
 )
-from .corpus import corpus_names, load_corpus
 
 __version__ = "0.1.0"

@@ -29,6 +29,7 @@ from .corpus import corpus_names, load_corpus
 from .epigroup import (
     EpigroupData,
     epigroup_data,
+    in_W_structural,
     is_completely_regular,
     pseudoinverse_map,
     verify_epigroup_identities,
@@ -45,7 +46,6 @@ from .varieties import (
     in_E,
     in_V,
     in_W,
-    in_W_structural,
 )
 
 

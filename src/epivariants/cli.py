@@ -22,11 +22,10 @@ from .core import (
     SemigroupError,
     UnarySemigroup,
     canonical_form,
-    emit_semigroup,
-    load_semigroup,
     table_of,
     validate,
 )
+from .corpus import emit_semigroup, load_semigroup
 from .epigroup import epigroup_data, pseudoinverse_map, verify_epigroup_identities
 from .green import green
 from .search import count_semigroups, enumerate_models

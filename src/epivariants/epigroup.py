@@ -53,6 +53,13 @@ def is_completely_regular(t):
     return all(k == 1 for k in epigroup_data(t).index)
 
 
+def in_W_structural(t):
+    """W's products criterion alone: every xy has index 1 (lies in a
+    subgroup); ``checks.check_oracles`` compares the other criteria."""
+    index = epigroup_data(t).index
+    return all(index[v] == 1 for row in t.table for v in row)
+
+
 # (identity, its one-identity basis's first_failure), parsed and compiled once
 _PSEUDOINVERSE_BASES = tuple(
     (ident, _compiled((ident,)))

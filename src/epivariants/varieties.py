@@ -13,10 +13,6 @@ from functools import lru_cache, partial
 from itertools import product as iproduct
 
 
-class UnboundVariable(Exception):
-    pass
-
-
 class IdentityParseError(Exception):
     pass
 
@@ -149,7 +145,7 @@ def parse_term(text):
     """The term that text denotes, read in one pass with a stack of the open
     parentheses, so no Python recursion.  Each level is a product, a prime
     or a pair of parentheses, and x^k counts as the k - 1 products it
-    expands to.  The term walkers (``term_text``, ``eval_term``, ...) and
+    expands to.  The term walkers (``term_text``, ``_render``, ...) and
     tuple hashing recurse once per level, so a term more than
     MAX_TERM_DEPTH levels deep raises IdentityParseError before it is
     built.  They also visit a subterm that x^k shares once per copy, so a
@@ -213,18 +209,6 @@ def parse_identity(text):
     return Identity(parse_term(lhs), parse_term(rhs))
 
 
-def eval_term(term, s, env):
-    kind = term[0]
-    if kind == "var":
-        try:
-            return env[term[1]]
-        except KeyError:
-            raise UnboundVariable(term[1]) from None
-    if kind == "prime":
-        return s.unary[eval_term(term[1], s, env)]
-    return s.base.table[eval_term(term[1], s, env)][eval_term(term[2], s, env)]
-
-
 _LOCAL_DEPTH = 100  # Python's parser refuses about 200 nested brackets
 
 
@@ -234,7 +218,8 @@ def _render(term, slots, bound, depth=0):
     # source.  The subterms at each multiple of _LOCAL_DEPTH levels are bound
     # to locals w0, w1, ... first, their assignments in bound; a right operand
     # that binds locals has its row T[left] bound before them, so bound and
-    # then the expression read cells in eval_term's order.
+    # then the expression read cells in evaluation order: the left operand
+    # before the right, the operand before its prime.
     kind = term[0]
     if kind == "var":
         text = f"v{slots[term[1]]}"
@@ -269,11 +254,12 @@ def _compiled(identities):
     per variable (one loop over their product past Python's 20 nested
     blocks) around ``if lhs != rhs``, whose index expressions (``T[l][r]``,
     ``U[c]``) are built from the term trees alone.  The loops run in
-    ``itertools.product`` order and every cell is read in ``eval_term``'s
-    order, across the locals that cut a term every 100 levels too: the
-    result, and any exception from a bad unary map, is the brute force's
-    over ``eval_term``, for every term that ``parse_term`` or the E_n and
-    V_n constructors build."""
+    ``itertools.product`` order and every cell is read in evaluation order,
+    the left operand before the right and the operand before its prime,
+    across the locals that cut a term every 100 levels too: the result, and
+    any exception from a bad unary map, is a brute force's that evaluates
+    both sides recursively at each assignment, for every term that
+    ``parse_term`` or the E_n and V_n constructors build."""
     names = tuple(identity.variables for identity in identities)
     lines = ["def kernel(T, U, R):"]
     for i, (identity, variables) in enumerate(zip(identities, names)):
@@ -457,11 +443,3 @@ def variety_test(name):
         return partial(in_E if family == "E" else in_V, n=int(digits))
     raise _UnknownVariety(f"unknown variety {name!r}")
 
-
-def in_W_structural(t):
-    """W's products criterion alone: every xy has index 1 (lies in a
-    subgroup); ``checks.check_oracles`` compares the other criteria."""
-    from .epigroup import epigroup_data
-
-    index = epigroup_data(t).index
-    return all(index[v] == 1 for row in t.table for v in row)

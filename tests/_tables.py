@@ -1,5 +1,6 @@
 """Test-only builders and references: transformation closures, S^1,
-relabelled copies, and the per-element variant-index check."""
+relabelled copies, the per-element variant-index check, and the recursive
+term evaluator that the compiled identity kernel is compared with."""
 
 from epivariants import variants
 from epivariants.core import CapExceeded, CayleyTable, UnarySemigroup, identity_of
@@ -52,3 +53,21 @@ def check_variant_index(s, c, a):
     base_index = epigroup_data(s.base).index[s.base.table[c][a]]
     variant_index = epigroup_data(variants.variant(s.base, c)).index[a]
     return base_index, variant_index, variant_index in (base_index, base_index + 1)
+
+
+class UnboundVariable(Exception):
+    pass
+
+
+def eval_term(term, s, env):
+    """The value of a term tree at the assignment env: the left operand
+    before the right, the operand before its prime."""
+    kind = term[0]
+    if kind == "var":
+        try:
+            return env[term[1]]
+        except KeyError:
+            raise UnboundVariable(term[1]) from None
+    if kind == "prime":
+        return s.unary[eval_term(term[1], s, env)]
+    return s.base.table[eval_term(term[1], s, env)][eval_term(term[2], s, env)]

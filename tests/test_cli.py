@@ -9,8 +9,7 @@ import pytest
 
 import epivariants
 from epivariants.cli import main
-from epivariants.core import parse_semigroup
-from epivariants.corpus import corpus_text
+from epivariants.corpus import corpus_text, parse_semigroup
 from epivariants.epigroup import pseudoinverse_map
 
 from test_acceptance import PAPER_DETAILS

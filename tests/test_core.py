@@ -15,12 +15,16 @@ from epivariants.core import (
     UnarySemigroup,
     _element_signatures,
     canonical_form,
-    emit_semigroup,
     find_isomorphism,
-    parse_semigroup,
     validate,
 )
-from epivariants.corpus import corpus_names, corpus_text, load_corpus
+from epivariants.corpus import (
+    corpus_names,
+    corpus_text,
+    emit_semigroup,
+    load_corpus,
+    parse_semigroup,
+)
 from epivariants.epigroup import pseudoinverse_map
 from epivariants.search import semigroup_tables
 

@@ -440,6 +440,23 @@ def test_order_5_tables_are_pinned():
     assert tables_digest(5) == "5eefd21c0b9c1a86f17135e1329c0ec23f5c9969d5475fad2ce7589e4f0e0570"
 
 
+def assert_strictly_increasing(order):
+    # no sort follows the walk: the tables come out of it in increasing
+    # row-major order, each one above the last
+    flats = [tuple(v for row in t.table for v in row) for t in semigroup_tables(order)]
+    assert all(a < b for a, b in zip(flats, flats[1:]))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_tables_are_returned_strictly_increasing(order):
+    assert_strictly_increasing(order)
+
+
+@pytest.mark.slow
+def test_order_6_tables_are_returned_strictly_increasing():
+    assert_strictly_increasing(6)
+
+
 @pytest.mark.slow
 def test_order_6_counts():
     # OEIS A027851 and A001423

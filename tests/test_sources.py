@@ -1,8 +1,12 @@
 import ast
 import warnings
+from importlib import import_module
 from pathlib import Path
+from types import ModuleType
 
 import epivariants
+
+PACKAGE = Path(epivariants.__file__).parent
 
 
 def test_sources_compile_without_warnings():
@@ -31,13 +35,15 @@ def test_epigroup_does_not_import_green():
 def test_no_module_builds_s1():
     # green and primary conjugacy read aS^1, S^1a and the pairs (xy, yx) off
     # the table itself; S^1 is built only by the tests' oracles, so no module
-    # of the package defines, imports, calls or names adjoin_identity
+    # of the package defines, imports, calls or names adjoin_identity.  The
+    # recursive term evaluator is a test oracle too: the package evaluates
+    # identities only through the compiled kernel, and never names eval_term
     users = set()
-    for path in sorted(Path(epivariants.__file__).parent.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             name = getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
-            if name == "adjoin_identity":
-                users.add(path.stem)
+            if name in ("adjoin_identity", "eval_term"):
+                users.add((path.stem, name))
     assert not users, users
 
 
@@ -144,3 +150,88 @@ def test_relabelings_are_enumerated_only_by_the_lex_leader_routine():
         ("core", "", "import"),
         ("core", "_relabeling_entries", "use"),
     }
+
+
+def _relative_imports(tree):
+    """(module, nested) for each package-relative import: the module it
+    reads (__init__ for a name that ``from . import`` takes from the package
+    itself), and whether it sits inside a def or a class."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    found = []
+
+    def visit(node, nested):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            nested = True
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            found.extend((name if name in modules else "__init__", nested) for name in names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, nested)
+
+    visit(tree, False)
+    return found
+
+
+def test_no_package_import_inside_a_def():
+    # a function that needs a module built on top of its own sits in the
+    # wrong layer: no package import is deferred into a def
+    deferred = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for module, nested in _relative_imports(ast.parse(path.read_text())):
+            if nested:
+                deferred.add((path.stem, module))
+    assert not deferred, deferred
+
+
+def test_package_import_graph_is_acyclic():
+    # peel off, again and again, the modules that import none of the modules
+    # left; the modules of a cycle are never peeled
+    left = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        imports = _relative_imports(ast.parse(path.read_text()))
+        left[path.stem] = {module for module, nested in imports if not nested}
+    while True:
+        peeled = [module for module, imported in left.items() if not imported & left.keys()]
+        if not peeled:
+            break
+        for module in peeled:
+            del left[module]
+    assert not left, left
+
+
+# every public top-level name, by the module that defines it
+HOMES = {
+    "core": {
+        "CapExceeded", "CayleyTable", "EntryOutOfRange", "NotAssociative", "SemigroupError",
+        "UnarySemigroup", "canonical_form", "find_isomorphism", "identity_of", "validate",
+    },
+    "green": {"GreenStructure", "green", "idempotents", "is_group_h_class"},
+    "varieties": {
+        "Identity", "VarietyReport", "find_counterexample", "in_E", "in_V", "in_W",
+        "parse_identity", "parse_term",
+    },
+    "variants": {"check_pseudoinverse_transport", "star", "unary_variant", "variant"},
+    "conjugacy": {"ConjugacyReport", "check_transitivity"},
+    "epigroup": {
+        "EpigroupData", "epigroup_data", "in_W_structural", "is_completely_regular",
+        "pseudoinverse_map", "verify_epigroup_identities",
+    },
+    "search": {"count_semigroups", "enumerate_models", "is_variant_of_cr", "semigroup_tables"},
+    "corpus": {"corpus_names", "emit_semigroup", "load_corpus", "load_semigroup", "parse_semigroup"},
+}
+
+
+def test_public_names_resolve_to_their_home_modules():
+    # a move between modules can neither drop an export nor shadow one
+    # with a same-named object from elsewhere
+    public = {
+        name for name, obj in vars(epivariants).items()
+        if not name.startswith("_") and not isinstance(obj, ModuleType)
+    }
+    assert public == set().union(*HOMES.values())
+    for home, names in HOMES.items():
+        module = import_module(f"epivariants.{home}")
+        for name in names:
+            obj = getattr(epivariants, name)
+            assert obj is getattr(module, name), name
+            assert obj.__module__ == module.__name__, name

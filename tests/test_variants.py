@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from epivariants import checks, core, variants
+from epivariants import checks, core, search
 from epivariants.core import (
     CapExceeded,
     CayleyTable,
@@ -16,10 +16,9 @@ from epivariants.core import (
 )
 from epivariants.corpus import load_corpus
 from epivariants.epigroup import is_completely_regular, pseudoinverse_map
-from epivariants.search import enumerate_models, semigroup_tables
+from epivariants.search import enumerate_models, is_variant_of_cr, semigroup_tables
 from epivariants.variants import (
     check_pseudoinverse_transport,
-    is_variant_of_cr,
     star,
     unary_variant,
     variant,
@@ -165,6 +164,22 @@ def test_variant_rejects_bad_sandwich():
         variant(NULL2, 5)
 
 
+@pytest.mark.parametrize("c", [-1, 3])
+def test_star_and_transport_reject_bad_sandwich(c):
+    # a negative c would index from the end, and c = n past it
+    z3 = pseudoinverse_map(load_corpus("z3.sgp"))
+    calls = (
+        lambda: variant(z3.base, c),
+        lambda: star(z3, c),
+        lambda: unary_variant(z3, c),
+        lambda: check_pseudoinverse_transport(z3, c),
+        lambda: check_pseudoinverse_transport(z3, c, st=star(z3, 0)),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^sandwich element {c} out of range$"):
+            call()
+
+
 def test_star_group_cases():
     z3 = pseudoinverse_map(load_corpus("z3.sgp"))
     assert star(z3, 0) == z3.unary  # identity sandwich reduces to x'
@@ -308,7 +323,7 @@ def test_cold_census_searches_isomorphisms_for_its_matching_only(monkeypatch):
     # the filter asks membership; only the sweep that matches the three
     # references against the three order-4 models builds isomorphisms
     monkeypatch.setattr(
-        variants, "_cr_variant_forms", lru_cache(variants._cr_variant_forms.__wrapped__)
+        search, "_cr_variant_forms", lru_cache(search._cr_variant_forms.__wrapped__)
     )
     calls = []
 
@@ -327,9 +342,9 @@ def test_cold_census_searches_isomorphisms_for_its_matching_only(monkeypatch):
 def test_cr_variant_forms_are_computed_once_per_distinct_variant(monkeypatch, order, forms):
     # one canonical form per distinct (table, unary map) among the variants
     # at every c in T^1 (52 and 335 of them), and the set is the set of all
-    expected = variants._cr_variant_forms(order)
+    expected = search._cr_variant_forms(order)
     monkeypatch.setattr(
-        variants, "_cr_variant_forms", lru_cache(variants._cr_variant_forms.__wrapped__)
+        search, "_cr_variant_forms", lru_cache(search._cr_variant_forms.__wrapped__)
     )
     calls = []
 
@@ -337,8 +352,8 @@ def test_cr_variant_forms_are_computed_once_per_distinct_variant(monkeypatch, or
         calls.append(s)
         return core.canonical_form(s)
 
-    monkeypatch.setattr(variants, "canonical_form", counted)
-    assert variants._cr_variant_forms(order) == expected
+    monkeypatch.setattr(search, "canonical_form", counted)
+    assert search._cr_variant_forms(order) == expected
     assert len(calls) == forms
     every = {
         core.canonical_form(m)
@@ -388,7 +403,7 @@ def test_census_references_are_not_variants():
 def test_variant_search_cap(monkeypatch):
     # the cap is met before any canonical form is computed
     forms = []
-    monkeypatch.setattr(variants, "canonical_form", forms.append)
+    monkeypatch.setattr(search, "canonical_form", forms.append)
     z7 = CayleyTable.from_rows([[(x + y) % 7 for y in range(7)] for x in range(7)])
     with pytest.raises(CapExceeded):
         is_variant_of_cr(pseudoinverse_map(z7))

@@ -7,21 +7,18 @@ import pytest
 from epivariants import checks, varieties
 from epivariants.core import CayleyTable, UnarySemigroup
 from epivariants.corpus import load_corpus
-from epivariants.epigroup import pseudoinverse_map
+from epivariants.epigroup import in_W_structural, pseudoinverse_map
 from epivariants.search import semigroup_tables
 from epivariants.variants import unary_variant
 from epivariants.varieties import (
     Identity,
     IdentityParseError,
-    UnboundVariable,
     e_identity,
     e_identity_alt,
-    eval_term,
     find_counterexample,
     in_E,
     in_V,
     in_W,
-    in_W_structural,
     parse_identity,
     parse_term,
     tdot,
@@ -32,6 +29,8 @@ from epivariants.varieties import (
     v_identity_2,
     variety_test,
 )
+
+from _tables import UnboundVariable, eval_term
 
 NULL2 = CayleyTable([[0, 0], [0, 0]])
 
