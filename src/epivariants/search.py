@@ -1,17 +1,17 @@
 """Exhaustive enumeration of small semigroups up to isomorphism.
 
-The enumerator fixes the first row, then fills the rest of the
+The enumerator sets cell (0, 0) to 0, then fills the rest of the
 multiplication table cell by cell in row-major order.  A rule at the root
 and three tests cut the tree; the last two tests are one routine,
 ``core._lex_leader``, which also computes ``core.canonical_form``.
 
-- Root rule.  Every first row starts with 0: every canonical table has
-  0 * 0 = 0.  A finite semigroup has an idempotent e (a power of any
-  element), and a relabeling that sends e to 0 makes cell (0, 0) hold 0,
-  the least value; the canonical form is the least serialization over all
-  relabelings, so its first cell is 0 too.  Only the n^(n-1) first rows
-  (0, r1, ..., r(n-1)) are tried, out of n^n, and only subtrees with no
-  canonical table go.
+- Root rule.  Cell (0, 0) is set to 0 before the walk: every canonical
+  table has 0 * 0 = 0.  A finite semigroup has an idempotent e (a power of
+  any element), and a relabeling that sends e to 0 makes cell (0, 0) hold
+  0, the least value; the canonical form is the least serialization over
+  all relabelings, so its first cell is 0 too.  The root is checked and
+  forced from like any other cell, and the walk fills every cell after it;
+  only subtrees with no canonical table go.
 - Forward checking (``_assign``).  Setting cell (a, b) to v walks the
   triples that use it: (a, b, z), (z, a, b), (x, y, b) with xy = a and
   (a, x, y) with xy = b; the last two come from a per-value index
@@ -29,7 +29,8 @@ and three tests cut the tree; the last two tests are one routine,
   relabelings that map {0..r} onto itself are tried on them; they read only
   filled cells.  If one makes rows 0..r lexicographically smaller, every
   completion has a smaller relabeling and is not canonical, so the subtree
-  is cut.  The r = 0 case screens first rows before any cell is checked.
+  is cut.  ``_fill`` runs it at the first cell of every row after row 0, so
+  the r = 0 case, which screens the first row, is one more prefix test.
 - Leaf test.  A complete table is kept only when no relabeling makes it
   lexicographically smaller, so each isomorphism class is emitted exactly
   once, as its canonical form.  This test alone decides canonicity; the
@@ -115,9 +116,7 @@ def _assign(t, a, b, n, where, force, trail):
     # known already holds: of its other three cells, the last one set found
     # (a, b) unknown and forced it, through loop 1, 2 or 4 (loop 3's
     # triples) or loop 1, 2 or 3 (loop 4's), and ``_fill`` tries only the
-    # forced value.  While row 0 is walked, the whole row is already in t;
-    # a triple inside row 0 is (0, 0, z) with 00 = 0, which loop 2 compares
-    # at cell (0, z)
+    # forced value
     for x, y in where[a]:  # (xy)b = ab = v against x(yb)
         yb = t[y][b]
         if yb >= 0 and t[x][yb] < 0:
@@ -149,9 +148,10 @@ def _fill(t, pos, n, where, force, trail, out):
         return
     a = pos // n
     b = pos - a * n
-    if b == 0 and a > 1 and _lex_leader(t, rows=a, stop=True) is None:
-        # rows 0..a-1 are complete and a relabeling mapping {0..a-1} onto
-        # itself beats them, so it beats every completion too
+    if b == 0 and _lex_leader(t, rows=a, stop=True) is None:
+        # rows 0..a-1 are complete (the walk starts at cell 1, so a >= 1)
+        # and a relabeling mapping {0..a-1} onto itself beats them, so it
+        # beats every completion too
         return
     row = t[a]
     forced = force[pos]
@@ -174,9 +174,9 @@ _TABLE_CACHE = {}
 
 def semigroup_tables(order):
     """All semigroups of the given order, one canonical representative per
-    isomorphism class, sorted by canonical form: the walk tries first rows
-    in lexicographic order and each cell's values in increasing order, so
-    it finds the tables already sorted."""
+    isomorphism class, sorted by canonical form: the walk sets cell (0, 0)
+    to 0, then fills the cells in row-major order and tries each cell's
+    values in increasing order, so it finds the tables already sorted."""
     if order < 1:
         raise ValueError("order must be positive")
     if order > MAX_PLAIN_ORDER:
@@ -184,24 +184,16 @@ def semigroup_tables(order):
     if order in _TABLE_CACHE:
         return _TABLE_CACHE[order]
     n = order
+    t = [[-1] * n for _ in range(n)]
+    where = [[] for _ in range(n)]
+    force = [-1] * (n * n)
+    trail = []
     tables = []
     # the root rule: every canonical table has 0 * 0 = 0
-    for rest in iproduct(range(n), repeat=n - 1):
-        first = (0, *rest)
-        t = [list(first)] + [[-1] * n for _ in range(n - 1)]
-        if n > 1 and _lex_leader(t, rows=1, stop=True) is None:
-            continue
-        where = [[] for _ in range(n)]
-        force = [-1] * (n * n)
-        trail = []
-        # row 0 is in t already, for the screen above; each of its cells is
-        # still walked, to check and force from it
-        for b, v in enumerate(first):
-            where[v].append((0, b))
-            if not _assign(t, 0, b, n, where, force, trail):
-                break
-        else:
-            _fill(t, n, n, where, force, trail, tables)
+    t[0][0] = 0
+    where[0].append((0, 0))
+    if _assign(t, 0, 0, n, where, force, trail):
+        _fill(t, 1, n, where, force, trail, tables)
     result = tuple(CayleyTable(t) for t in tables)
     for t in result:
         validate(t)  # belt over the incremental pruning
@@ -219,7 +211,6 @@ def count_semigroups(order, merge_anti=False):
 
 # the filters that need no unary map, so they also apply to plain tables
 _TABLE_FILTERS = {
-    "canonical_unary": lambda m: isinstance(m, UnarySemigroup) and m.canonical,
     "completely_regular": lambda m: is_completely_regular(table_of(m)),
     "in_W_structural": lambda m: in_W_structural(table_of(m)),
 }
@@ -254,16 +245,20 @@ def is_variant_of_cr(s):
     return canonical_form(s) in forms
 
 
+# the filters that read the unary map, so plain tables refuse them
+_UNARY_FILTERS = {
+    "canonical_unary": lambda m: isinstance(m, UnarySemigroup) and m.canonical,
+    "variant_of_CR": is_variant_of_cr,
+}
+
+
 def resolve_filter(name):
     """Named structural predicates, with a 'not:' prefix for negation: the
-    ones in ``_TABLE_FILTERS``, ``variant_of_CR``, and the variety names of
-    ``varieties.variety_test``."""
+    ones in ``_TABLE_FILTERS`` and ``_UNARY_FILTERS``, and the variety names
+    of ``varieties.variety_test``."""
     base_name = name.removeprefix("not:")
-    if base_name in _TABLE_FILTERS:
-        pred = _TABLE_FILTERS[base_name]
-    elif base_name == "variant_of_CR":
-        pred = is_variant_of_cr
-    else:
+    pred = _TABLE_FILTERS.get(base_name, _UNARY_FILTERS.get(base_name))
+    if pred is None:
         try:
             test = variety_test(base_name)
         except _UnknownVariety:

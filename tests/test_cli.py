@@ -303,7 +303,9 @@ def test_enumerate_plain_and_free_unary_exclude_each_other(capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["E1", "not:V2", "W", "variant_of_CR"])
+@pytest.mark.parametrize(
+    "name", ["E1", "not:V2", "W", "variant_of_CR", "canonical_unary", "not:canonical_unary"]
+)
 def test_enumerate_plain_rejects_unary_filters(capsys, name):
     # order 7 is over the enumeration cap: the filter is rejected first
     assert main(["enumerate", "--order", "7", "--plain", "--filter", name]) == 2

@@ -7,6 +7,7 @@ from epivariants.core import CapExceeded, CayleyTable
 from epivariants.corpus import corpus_names, load_corpus
 from epivariants.search import semigroup_tables
 from epivariants.variants import variant
+from epivariants.varieties import in_E, in_V, in_W
 
 from _tables import adjoin_identity, closure, relabel
 
@@ -102,6 +103,39 @@ def test_smallest_non_transitive_order_is_4():
             assert check_transitivity(t).transitive
     bad = [t for t in semigroup_tables(4) if not check_transitivity(t).transitive]
     assert len(bad) == 13
+
+
+def chain_layer(s):
+    # where s first enters the chain W < E_2 < V_2
+    if in_W(s).holds:
+        return "W"
+    if in_E(s, 2).holds:
+        return "E2 \\ W"
+    if in_V(s, 2).holds:
+        return "V2 \\ E2"
+    return "outside V2"
+
+
+def test_main_theorem_is_sharp_at_order_4():
+    # every variant of a semigroup in W has transitive primary conjugacy, and
+    # W cannot be widened to E_2: the 13 order-4 classes where S or one of
+    # its variants fails all lie in E_2 \ W.  One pass finds the failures
+    # and places them, so the W row is read off the same reports as the 13
+    layers = ("W", "E2 \\ W", "V2 \\ E2", "outside V2")
+    with_variants = dict.fromkeys(layers, 0)
+    alone = dict.fromkeys(layers, 0)
+    for s, uvs in checks._corpus():
+        if s.order != 4:
+            continue
+        fails = not check_transitivity(s.base).transitive
+        layer = chain_layer(s)
+        alone[layer] += fails
+        with_variants[layer] += fails or any(
+            not check_transitivity(uv.base).transitive for uv in uvs
+        )
+    expected = {"W": 0, "E2 \\ W": 13, "V2 \\ E2": 0, "outside V2": 0}
+    assert with_variants == expected
+    assert alone == expected
 
 
 def test_transitive_closure_partition():

@@ -1,7 +1,8 @@
 import ast
 import hashlib
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
+from math import factorial
 
 import pytest
 
@@ -119,6 +120,39 @@ def test_complete_against_labelled_backtracker():
     assert len(forms) == 188
 
 
+# labelled semigroups of orders 1-6: OEIS A023814
+LABELLED_COUNTS = {1: 1, 2: 8, 3: 113, 4: 3492, 5: 183732, 6: 17061118}
+
+
+def automorphism_count(t):
+    # oracle: the permutations phi with phi(ab) = phi(a)phi(b), checked on
+    # every cell of the table
+    table = t.table
+    cells = [(a, b, ab) for a, row in enumerate(table) for b, ab in enumerate(row)]
+    return sum(
+        all(phi[ab] == table[phi[a]][phi[b]] for a, b, ab in cells)
+        for phi in permutations(range(t.order))
+    )
+
+
+def assert_orbit_count(order):
+    # orbit-stabilizer: the class of t holds n!/|Aut(t)| labelled tables, so
+    # a missing class, a duplicate or a wrong one would have to cancel out
+    # exactly for the sum to match
+    total = sum(factorial(order) // automorphism_count(t) for t in semigroup_tables(order))
+    assert total == LABELLED_COUNTS[order]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_orbit_count_matches_labelled_semigroups(order):
+    assert_orbit_count(order)
+
+
+@pytest.mark.slow
+def test_order_6_orbit_count_matches_labelled_semigroups():
+    assert_orbit_count(6)
+
+
 def test_prefix_test_rejects_only_non_canonical_tables():
     # every labelled semigroup of order <= 4, so every relabeling of every
     # class: whenever the prefix test rejects rows 0..r, the table is not its
@@ -205,28 +239,42 @@ def test_forward_checking_agrees_with_labelled_backtracker(monkeypatch):
 
 
 def test_cold_order_4_search_counts(monkeypatch):
-    # the root rule and forward checking: 2,536 nodes and 4,332
-    # assignments; 2,760 and 4,668 when every first row was tried, and
-    # 2,992 and 4,857 when only the cell's own filled triples narrowed its
-    # values
+    # the root rule and forward checking: 2,568 nodes, 4,342 assignments and
+    # 970 lex-leader walks.  The 2,529 nodes and 4,295 assignments past row
+    # 0 are pinned apart, so a cut lost there fails even if row 0 gets
+    # cheaper; 2,760 and 4,668 nodes and assignments in all when every first
+    # row was tried, and 2,992 and 4,857 when only the cell's own filled
+    # triples narrowed its values
     from epivariants import search
 
-    calls = {"_fill": 0, "_assign": 0}
+    calls = {"_fill": 0, "_assign": 0, "_lex_leader": 0}
+    past_row_0 = {"_fill": 0, "_assign": 0}
+    fill, assign, lex_leader = search._fill, search._assign, search._lex_leader
 
-    def counting(name):
-        inner = getattr(search, name)
+    def counting_fill(t, pos, n, *rest):
+        calls["_fill"] += 1
+        past_row_0["_fill"] += pos > n
+        return fill(t, pos, n, *rest)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return inner(*args)
-        return wrapper
+    def counting_assign(t, a, *rest):
+        calls["_assign"] += 1
+        past_row_0["_assign"] += a >= 1
+        return assign(t, a, *rest)
+
+    def counting_lex_leader(*args, **kwargs):
+        calls["_lex_leader"] += 1
+        return lex_leader(*args, **kwargs)
 
     monkeypatch.delitem(search._TABLE_CACHE, 4, raising=False)
-    for name in calls:
-        monkeypatch.setattr(search, name, counting(name))
+    monkeypatch.setattr(search, "_fill", counting_fill)
+    monkeypatch.setattr(search, "_assign", counting_assign)
+    monkeypatch.setattr(search, "_lex_leader", counting_lex_leader)
     assert len(semigroup_tables(4)) == 188
-    assert calls["_fill"] <= 2536
-    assert calls["_assign"] <= 4332
+    assert past_row_0["_fill"] <= 2529
+    assert past_row_0["_assign"] <= 4295
+    assert calls["_fill"] <= 2568
+    assert calls["_assign"] <= 4342
+    assert calls["_lex_leader"] <= 970
 
 
 def test_order_cap():
@@ -256,12 +304,13 @@ def test_plain_mode_rejects_unary_constraints(monkeypatch):
         raise AssertionError("enumerated")
 
     monkeypatch.setattr(search, "semigroup_tables", no_enumeration)
-    message = "plain tables carry no unary map for x'' = x, E1, not:W, variant_of_CR"
+    refused = "x'' = x, E1, not:W, variant_of_CR, canonical_unary"
+    message = f"plain tables carry no unary map for {refused}"
     with pytest.raises(ValueError, match=f"^{message}$"):
         enumerate_models(
             3,
             identities=(parse_identity("x'' = x"),),
-            filters=("completely_regular", "E1", "not:W", "variant_of_CR"),
+            filters=("completely_regular", "E1", "not:W", "variant_of_CR", "canonical_unary"),
             unary=None,
         )
     monkeypatch.undo()

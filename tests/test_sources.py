@@ -70,6 +70,41 @@ def test_search_is_pure_enumeration():
     assert "load_corpus" not in source
 
 
+def _called(node):
+    """The names called anywhere inside node."""
+    return [
+        getattr(call.func, "id", getattr(call.func, "attr", None))
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+    ]
+
+
+def test_table_search_sets_cells_in_one_walk():
+    # semigroup_tables sets the root cell and hands every later cell to one
+    # _fill call, whose prefix test also screens the first row: no loop of
+    # semigroup_tables walks cells, it runs no lex-leader walk of its own,
+    # and the module runs the prefix test (_lex_leader with rows=) in one place
+    tree = ast.parse((PACKAGE / "search.py").read_text())
+    tables = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "semigroup_tables"
+    )
+    calls = _called(tables)
+    assert calls.count("_fill") == 1 and calls.count("_assign") == 1, calls
+    assert "_lex_leader" not in calls, calls
+    loops = (ast.For, ast.While, ast.GeneratorExp, ast.ListComp, ast.SetComp, ast.DictComp)
+    for node in ast.walk(tables):
+        if isinstance(node, loops):
+            assert not {"_fill", "_assign"} & set(_called(node)), ast.unparse(node)
+    prefix_tests = [
+        call for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "id", None) == "_lex_leader"
+        and any(keyword.arg == "rows" for keyword in call.keywords)
+    ]
+    assert len(prefix_tests) == 1, [ast.unparse(call) for call in prefix_tests]
+
+
 MARK = "_validated"  # the attribute validate sets on a table that passes
 SETTERS = ("setattr", "__setattr__", "delattr", "__delattr__")
 
