@@ -19,6 +19,7 @@ import time
 from . import checks as checks_module
 from .conjugacy import check_transitivity
 from .core import (
+    NotAssociative,
     SemigroupError,
     UnarySemigroup,
     canonical_form,
@@ -30,7 +31,7 @@ from .epigroup import epigroup_data, pseudoinverse_map, verify_epigroup_identiti
 from .green import green
 from .search import count_semigroups, enumerate_models
 from .variants import unary_variant, variant
-from .varieties import IdentityParseError, find_counterexample, parse_identity, variety_test
+from .varieties import find_counterexample, parse_identity, variety_test
 
 
 class InputError(Exception):
@@ -67,21 +68,20 @@ class ReportBuilder:
         return any(c["status"] == "fail" for c in self.checks)
 
 
-def _load(path, require_valid=True):
+def _load(path):
     try:
         model = load_semigroup(path)
     except (OSError, ValueError) as exc:
         raise InputError(exc) from None
-    if require_valid:
-        validate(table_of(model))
+    validate(table_of(model))
     return model
 
 
 def cmd_validate(args, report):
-    model = _load(args.file, require_valid=False)
+    # the parser has refused every other fault of shape and range
     try:
-        validate(table_of(model))
-    except SemigroupError as exc:
+        _load(args.file)
+    except NotAssociative as exc:
         report.add("associativity", "fail", detail=str(exc))
         return [str(exc)]
     report.add("associativity", "pass")
@@ -147,7 +147,7 @@ def cmd_variety(args, report):
     try:
         tests = [variety_test(name) for name in names]
         ident = parse_identity(args.identity) if args.identity else None
-    except (ValueError, IdentityParseError) as exc:
+    except ValueError as exc:
         raise InputError(exc) from None
     if "W" in names and not model.canonical:
         raise InputError(
@@ -176,13 +176,12 @@ def cmd_variety(args, report):
 def cmd_variant(args, report):
     model = _load(args.file)
     t = table_of(model)
-    if not 0 <= args.at < t.order:
-        raise InputError(f"sandwich element {args.at} out of range")
-    if args.unary:
-        s = model if isinstance(model, UnarySemigroup) else pseudoinverse_map(t)
-        out = unary_variant(s, args.at)
-    else:
-        out = variant(t, args.at)
+    if args.unary and not isinstance(model, UnarySemigroup):
+        model = pseudoinverse_map(t)
+    try:
+        out = unary_variant(model, args.at) if args.unary else variant(t, args.at)
+    except ValueError as exc:  # the sandwich element is out of range
+        raise InputError(exc) from None
     return [emit_semigroup(out).rstrip("\n")]
 
 
@@ -213,8 +212,8 @@ def _read_identities(path):
             if line and not line.startswith("#"):
                 try:
                     identities.append(parse_identity(line))
-                except IdentityParseError as exc:
-                    raise IdentityParseError(f"{path}, line {lineno}: {exc}") from None
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {lineno}: {exc}") from None
     return tuple(identities)
 
 
@@ -236,7 +235,7 @@ def cmd_enumerate(args, report):
     if args.identities:
         try:
             identities = _read_identities(args.identities)
-        except (OSError, ValueError, IdentityParseError) as exc:
+        except (OSError, ValueError) as exc:
             raise InputError(exc) from None
     if args.out and not args.count_only:
         # a smaller run would leave the earlier run's extra models beside a

@@ -17,7 +17,6 @@ from .core import CayleyTable, UnarySemigroup
 
 @dataclass(frozen=True)
 class CheckReport:
-    name: str
     ok: bool
     witness: object = None
 
@@ -63,7 +62,9 @@ def check_pseudoinverse_transport(s, c, st=None):
     """Verify (xc)' = x* c and c x** = (cx)'' for all x, in the base
     semigroup.  Both hold whenever the unary map is the pseudoinverse.
     ``st`` is the star map at c when the caller holds it already, as the
-    checks' corpus does; it is computed here otherwise."""
+    checks' corpus does; it is computed here otherwise.  The report's
+    ``witness`` is None when ``ok``, else ``(identity, x)`` for the least x
+    where one fails, "(xc)' = x*c" first when both do."""
     tab = s.base.table
     u = s.unary
     if st is None:
@@ -72,8 +73,8 @@ def check_pseudoinverse_transport(s, c, st=None):
         _check_sandwich(s, c)
     for x in range(s.order):
         if u[tab[x][c]] != tab[st[x]][c]:
-            return CheckReport("pseudoinverse-transport", False, ("(xc)' = x*c", x))
+            return CheckReport(False, ("(xc)' = x*c", x))
         if tab[c][st[st[x]]] != u[u[tab[c][x]]]:
-            return CheckReport("pseudoinverse-transport", False, ("cx** = (cx)''", x))
-    return CheckReport("pseudoinverse-transport", True)
+            return CheckReport(False, ("cx** = (cx)''", x))
+    return CheckReport(True)
 

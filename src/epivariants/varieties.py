@@ -13,7 +13,7 @@ from functools import lru_cache, partial
 from itertools import product as iproduct
 
 
-class IdentityParseError(Exception):
+class IdentityParseError(ValueError):
     pass
 
 

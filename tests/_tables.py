@@ -1,10 +1,26 @@
-"""Test-only builders and references: transformation closures, S^1,
-relabelled copies, the per-element variant-index check, and the recursive
-term evaluator that the compiled identity kernel is compared with."""
+"""Test-only builders and references: the checks' corpus through order 5,
+transformation closures, S^1, relabelled copies, the per-element
+variant-index check, and the recursive term evaluator that the compiled
+identity kernel is compared with."""
+
+from functools import lru_cache
 
 from epivariants import variants
 from epivariants.core import CapExceeded, CayleyTable, UnarySemigroup, identity_of
-from epivariants.epigroup import epigroup_data
+from epivariants.epigroup import epigroup_data, pseudoinverse_map
+from epivariants.search import semigroup_tables
+
+
+@lru_cache(maxsize=None)
+def corpus_through_order_5():
+    """``checks._corpus`` built over orders 1 to 5 instead of 1 to 4, in the
+    same order and of the same parts; a test patches it in for the
+    checks' corpus, and it is built once per test run."""
+    return tuple(
+        (s, tuple(variants.unary_variant(s, c) for c in range(s.order)))
+        for order in range(1, 6)
+        for s in map(pseudoinverse_map, semigroup_tables(order))
+    )
 
 
 def closure(gens, cap=10000):

@@ -17,7 +17,7 @@ from epivariants.corpus import corpus_names, load_corpus
 from epivariants.epigroup import EpigroupData
 from epivariants.varieties import VarietyReport, parse_identity
 
-from _tables import check_variant_index
+from _tables import check_variant_index, corpus_through_order_5
 
 CHECKS = {fn.__name__: fn for fn in checks.ALL_CHECKS}
 
@@ -62,6 +62,30 @@ PAPER_DETAILS = [
 
 def test_verify_paper_details_are_pinned():
     assert [(o.name, o.ok, o.detail) for o, _ in checks.run_all()] == PAPER_DETAILS
+
+
+def test_corpus_checks_pass_at_order_5(monkeypatch):
+    # the six checks that read the corpus, on the corpus through order 5:
+    # the order-<=4 part is the checks' own corpus, and the first strictness
+    # witnesses of the chain are still the order-4 ones
+    corpus = corpus_through_order_5()
+    assert corpus[: len(checks._corpus())] == checks._corpus()
+    monkeypatch.setattr(checks, "_corpus", corpus_through_order_5)
+    expected = {name: detail for name, _, detail in PAPER_DETAILS}
+    expected["pseudoinverse-identities"] = "14931 identity checks, 0 failures"
+    expected["w-variant-conjugacy"] = "non-transitive examples seen at orders [4, 5]"
+    fns = [
+        checks.check_pseudoinverse_identities,
+        checks.check_transport,
+        checks.check_variety_chain,
+        checks.check_variant_variety_closure,
+        checks.check_w_variant_conjugacy,
+        checks.check_variant_index_bounds,
+    ]
+    outcomes = [fn() for fn in fns]
+    assert [(o.name, o.ok, o.detail) for o in outcomes] == [
+        (o.name, True, expected[o.name]) for o in outcomes
+    ]
 
 
 def _rebuild_corpus(monkeypatch):

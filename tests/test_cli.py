@@ -80,6 +80,10 @@ def test_validate_malformed_file_is_usage_error(tmp_path, capsys):
     path.write_text("1\n0\nunary: 0\nunary: 0\n")
     assert main(["validate", str(path)]) == 2
     assert "unexpected line after the unary map" in capsys.readouterr().err
+    # a short row is refused by the parser, before any associativity test
+    path.write_text("2\n0 0\n0\n")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: row 1 has 1 entries, expected 2\n")
 
 
 def test_missing_file_is_usage_error(capsys):
@@ -134,6 +138,7 @@ def test_epi_json(corpus_file, capsys):
     (["enumerate", "--order", "2", "--free-unary", "--count-only"], "18\n"),
     # one line a check, its seconds masked
     (["verify-paper"], "".join(f"PASS {name}: {detail} (…s)\n" for name, _, detail in PAPER_DETAILS)),
+    (["variant", "z3.sgp", "--at", "1"], "3\n1 2 0\n2 0 1\n0 1 2\n"),
 ])
 def test_text_output(corpus_file, tmp_path, capsys, argv, stdout):
     # a file argument names a corpus table, or the non-transitive one above
@@ -273,7 +278,11 @@ def test_variant_round_trip(corpus_file, capsys):
 
 
 def test_variant_out_of_range(corpus_file, capsys):
-    assert main(["variant", corpus_file("z3.sgp"), "--at", "9"]) == 2
+    # the variant builders refuse the sandwich element; the CLI reports it
+    for at in ("9", "-1", "3"):
+        for unary in ([], ["--unary"]):
+            assert main(["variant", corpus_file("z3.sgp"), "--at", at, *unary]) == 2
+            assert capsys.readouterr() == ("", f"error: sandwich element {at} out of range\n")
 
 
 def test_conjugacy_json(corpus_file, capsys):

@@ -9,7 +9,7 @@ from epivariants.search import semigroup_tables
 from epivariants.variants import variant
 from epivariants.varieties import in_E, in_V, in_W
 
-from _tables import adjoin_identity, closure, relabel
+from _tables import adjoin_identity, closure, corpus_through_order_5, relabel
 
 NULL2 = CayleyTable([[0, 0], [0, 0]])
 NONTRANS4 = CayleyTable([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 2, 3]])
@@ -116,16 +116,16 @@ def chain_layer(s):
     return "outside V2"
 
 
-def test_main_theorem_is_sharp_at_order_4():
-    # every variant of a semigroup in W has transitive primary conjugacy, and
-    # W cannot be widened to E_2: the 13 order-4 classes where S or one of
-    # its variants fails all lie in E_2 \ W.  One pass finds the failures
-    # and places them, so the W row is read off the same reports as the 13
+def _failing_classes(corpus, order):
+    """Per layer of the chain, the order-``order`` classes of the corpus
+    where S or one of its variants has non-transitive primary conjugacy,
+    and those where S itself has.  One pass finds the failures and places
+    them, so the W row is read off the same reports as the others."""
     layers = ("W", "E2 \\ W", "V2 \\ E2", "outside V2")
     with_variants = dict.fromkeys(layers, 0)
     alone = dict.fromkeys(layers, 0)
-    for s, uvs in checks._corpus():
-        if s.order != 4:
+    for s, uvs in corpus:
+        if s.order != order:
             continue
         fails = not check_transitivity(s.base).transitive
         layer = chain_layer(s)
@@ -133,9 +133,24 @@ def test_main_theorem_is_sharp_at_order_4():
         with_variants[layer] += fails or any(
             not check_transitivity(uv.base).transitive for uv in uvs
         )
+    return with_variants, alone
+
+
+def test_main_theorem_is_sharp_at_order_4():
+    # every variant of a semigroup in W has transitive primary conjugacy, and
+    # W cannot be widened to E_2: the 13 order-4 classes where S or one of
+    # its variants fails all lie in E_2 \ W
     expected = {"W": 0, "E2 \\ W": 13, "V2 \\ E2": 0, "outside V2": 0}
-    assert with_variants == expected
-    assert alone == expected
+    assert _failing_classes(checks._corpus(), 4) == (expected, expected)
+
+
+def test_main_theorem_is_sharp_at_order_5():
+    # at order 5 the failures reach past E_2: 362 classes where S or a
+    # variant fails, 349 where S itself does, none of them in W
+    with_variants, alone = _failing_classes(corpus_through_order_5(), 5)
+    assert with_variants == {"W": 0, "E2 \\ W": 352, "V2 \\ E2": 8, "outside V2": 2}
+    assert alone == {"W": 0, "E2 \\ W": 339, "V2 \\ E2": 8, "outside V2": 2}
+    assert sum(alone.values()) == 349
 
 
 def test_transitive_closure_partition():

@@ -199,6 +199,12 @@ def test_left_zero_not_isomorphic_to_right_zero():
     assert find_isomorphism(LEFT_ZERO, RIGHT_ZERO) is None
 
 
+def test_find_isomorphism_refuses_mixed_kinds_and_answers_none_across_orders():
+    with pytest.raises(TypeError, match="cannot compare a plain table with a unary semigroup"):
+        find_isomorphism(LEFT_ZERO, pseudoinverse_map(LEFT_ZERO))
+    assert find_isomorphism(LEFT_ZERO, W_WITNESS) is None
+
+
 def test_isomorphism_search_rejects_unequal_multisets_before_backtracking(monkeypatch):
     # a pair whose signature multisets differ returns None from the one
     # comparison; a pair whose multisets agree is searched
@@ -564,6 +570,8 @@ def test_element_signatures_index_and_period():
     ("2\n0 0\n0 1\nunary: 0\n", "unary map has length 1, expected 2"),
     ("2\n0 0\n0 1\nunary: 0 5\n", "entry 5 at ('unary', 1) is out of range"),
     ("2\n0 0\n0 -1\n", "entry -1 at (1, 1) is out of range"),
+    ("2\n0 0\n0\n", "row 1 has 1 entries, expected 2"),
+    ("1\n0\n0\n", "unexpected line: '0'"),
 ])
 def test_parse_rejects_malformed_structure(text, message):
     with pytest.raises(SemigroupError) as exc:

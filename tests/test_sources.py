@@ -62,6 +62,27 @@ def test_checks_enumerate_tables_only_in_the_corpus_and_the_oracle_sweep():
     assert users == {"_corpus", "check_oracles"}, users
 
 
+def test_cli_and_checks_decide_each_rule_once():
+    # the variant builders alone test the sandwich element's range, _load
+    # always validates, an identity's parse error is a ValueError to the
+    # CLI, and only check_w_witness reads the shipped W-witness
+    cli = ast.parse((PACKAGE / "cli.py").read_text())
+    for node in ast.walk(cli):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            assert not any(getattr(op, "attr", None) == "at" for op in operands), ast.unparse(node)
+        if isinstance(node, ast.FunctionDef) and node.name == "_load":
+            assert [arg.arg for arg in node.args.args] == ["path"]
+        if isinstance(node, (ast.Name, ast.alias)):
+            assert "IdentityParseError" not in (getattr(node, "id", None), getattr(node, "name", None))
+    readers = set()
+    for top in ast.parse((PACKAGE / "checks.py").read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Constant) and node.value == "w_not_v1.sgp":
+                readers.add(getattr(top, "name", "<module>"))
+    assert readers == {"check_w_witness"}, readers
+
+
 def test_search_is_pure_enumeration():
     # the V_1 census lives in its check: the enumerator neither matches
     # models against references nor reads the shipped corpus

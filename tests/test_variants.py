@@ -10,6 +10,7 @@ from epivariants.core import (
     CapExceeded,
     CayleyTable,
     NotAssociative,
+    UnarySemigroup,
     find_isomorphism,
     identity_of,
     validate,
@@ -18,6 +19,7 @@ from epivariants.corpus import load_corpus
 from epivariants.epigroup import is_completely_regular, pseudoinverse_map
 from epivariants.search import enumerate_models, is_variant_of_cr, semigroup_tables
 from epivariants.variants import (
+    CheckReport,
     check_pseudoinverse_transport,
     star,
     unary_variant,
@@ -215,6 +217,16 @@ def test_transport_trivial_and_z3():
     assert check_pseudoinverse_transport(one, 0).ok
     z3 = pseudoinverse_map(load_corpus("z3.sgp"))
     assert check_pseudoinverse_transport(z3, 1).ok
+
+
+def test_transport_reports_the_failing_identity_and_element():
+    # unary maps that are not the pseudoinverse: on the null semigroup the
+    # first identity fails, and on the left-zero one only the second does
+    null = UnarySemigroup(NULL2, (1, 0))
+    assert check_pseudoinverse_transport(null, 0) == CheckReport(False, ("(xc)' = x*c", 0))
+    left_zero = UnarySemigroup(CayleyTable([[0, 0], [1, 1]]), (0, 0))
+    assert check_pseudoinverse_transport(left_zero, 1) == CheckReport(False, ("cx** = (cx)''", 0))
+    assert [f.name for f in dataclasses.fields(CheckReport)] == ["ok", "witness"]
 
 
 def test_transport_exhaustive_small_orders():

@@ -7,7 +7,7 @@ import pytest
 from epivariants import checks, varieties
 from epivariants.core import CayleyTable, UnarySemigroup
 from epivariants.corpus import load_corpus
-from epivariants.epigroup import in_W_structural, pseudoinverse_map
+from epivariants.epigroup import in_W_structural, is_completely_regular, pseudoinverse_map
 from epivariants.search import semigroup_tables
 from epivariants.variants import unary_variant
 from epivariants.varieties import (
@@ -30,7 +30,7 @@ from epivariants.varieties import (
     variety_test,
 )
 
-from _tables import UnboundVariable, eval_term
+from _tables import UnboundVariable, corpus_through_order_5, eval_term
 
 NULL2 = CayleyTable([[0, 0], [0, 0]])
 
@@ -55,6 +55,15 @@ def test_parse_errors():
     for bad in ("x^", "x =", "(x", "x+y", "x = y = z"):
         with pytest.raises(IdentityParseError):
             parse_identity(bad if "=" in bad else bad + " = x")
+
+
+def test_parse_term_names_trailing_and_unexpected_tokens():
+    with pytest.raises(IdentityParseError, match=r"^trailing tokens in 'x\)'$"):
+        parse_term("x)")
+    with pytest.raises(IdentityParseError, match="^unexpected token \"'\" in \"'x\"$"):
+        parse_term("'x")
+    # a parse error is bad input, as every other ValueError of an identity
+    assert issubclass(IdentityParseError, ValueError)
 
 
 def test_term_text_round_trip():
@@ -112,6 +121,12 @@ def test_in_E_w_witness():
     assert in_E(canonical("w_not_v1.sgp"), 2).holds
 
 
+@pytest.mark.parametrize("test", [in_E, in_V])
+def test_variety_index_must_be_positive(test):
+    with pytest.raises(ValueError, match="^n must be a positive integer$"):
+        test(pseudoinverse_map(NULL2), 0)
+
+
 def test_in_E_monotone():
     for order in (1, 2, 3):
         for t in semigroup_tables(order):
@@ -163,6 +178,21 @@ def test_in_W_agrees_with_structural():
     for order in (1, 2, 3):
         for t in semigroup_tables(order):
             assert in_W(pseudoinverse_map(t)).holds == in_W_structural(t)
+
+
+@pytest.mark.parametrize(
+    "order, counts",
+    [
+        (4, {"E1": 67, "V1": 107, "W": 109, "E2": 173, "V2": 186}),
+        (5, {"E1": 353, "V1": 623, "W": 647, "E2": 1668, "V2": 1864}),
+    ],
+)
+def test_chain_counts(order, counts):
+    # the classes of each order in each variety of E_1 < V_1 < W < E_2 < V_2,
+    # with E_1 the completely regular ones
+    models = [s for s, _ in corpus_through_order_5() if s.order == order]
+    assert {name: sum(variety_test(name)(s).holds for s in models) for name in counts} == counts
+    assert sum(is_completely_regular(s.base) for s in models) == counts["E1"]
 
 
 # --------------------------------------------------------------------------
