@@ -226,9 +226,8 @@ def _cr_variant_forms(n):
         if not is_completely_regular(t):
             continue
         su = pseudoinverse_map(t)
-        # c = adjoined identity: x *_1 y = xy and x* = x'; the form does not
-        # read the canonical flag, so the pair is keyed without it
-        models.add(UnarySemigroup(t, su.unary))
+        # c = adjoined identity: x *_1 y = xy and x* = x'
+        models.add(su)
         models.update(unary_variant(su, c) for c in range(n))
     return frozenset(map(canonical_form, models))
 

@@ -1,11 +1,10 @@
 """Variants (sandwich products) and unary variants.
 
 The variant of S at c multiplies by a *_c b = acb.  When S carries its
-pseudoinverse map, the star operation x* = (xc)' x (cx)' turns the variant
-into a unary semigroup; the checks below verify, table by table, that star
-behaves exactly like the variant's own pseudoinverse.  This module builds
-on :mod:`epivariants.core` alone; whether a model is a unary variant of a
-completely regular semigroup is the search filter ``search.is_variant_of_cr``.
+pseudoinverse map, star x* = (xc)' x (cx)' is the variant's pseudoinverse
+map, by the transport result that ``checks.check_transport`` verifies.
+This module builds on :mod:`epivariants.core` alone; whether a model is a
+unary variant of a completely regular semigroup is ``search.is_variant_of_cr``.
 """
 
 from __future__ import annotations
@@ -54,8 +53,9 @@ def star(s, c):
 
 
 def unary_variant(s, c):
-    """(S, ._c, *): the variant table paired with the star map."""
-    return UnarySemigroup(variant(s.base, c), star(s, c))
+    """(S, ._c, *): the variant table paired with the star map, canonical when
+    s is, since star is then the variant's pseudoinverse map by transport."""
+    return UnarySemigroup(variant(s.base, c), star(s, c), canonical=s.canonical)
 
 
 def check_pseudoinverse_transport(s, c, st=None):

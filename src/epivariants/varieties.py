@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product as iproduct
+from math import inf
 
 
 class IdentityParseError(ValueError):
@@ -363,31 +364,47 @@ def v_identity_2(n):
 EQ_PRODUCT_STABLE = parse_identity("(x*y)'' = x*y")
 
 
+# how many levels deeper than n the deepest term of each family's basis
+# nests, written out as parse_term reads it: x*...*x*x' with n + 1 factors
+# x (E_n) and x''*x*...*x*y with n - 1 (V_n)
+_DEPTH_PAST_N = {"E": 1, "V": 2}
+
+
+def _check_n(family, n, name=None):
+    """Refuse, before any term is built, an n below 1 and one whose basis,
+    written out, nests past ``MAX_TERM_DEPTH`` levels: past E499 and V498.
+    ``name`` is the variety as the caller spelled it, E<n> or V<n> if None."""
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    if n + _DEPTH_PAST_N[family] > MAX_TERM_DEPTH:
+        raise ValueError(f"the basis of {name or family + str(n)} nests terms deeper than "
+                         f"the bound of {MAX_TERM_DEPTH} levels")
+
+
+# each n is checked once, as its basis is prepared, and not on every call
 @lru_cache(maxsize=16)
 def _e_basis(n):
+    _check_n("E", n)
     return _prepared(f"E_{n}", (EQ_PINV_FIXED, EQ_COMMUTE, e_identity(n)))
 
 
 @lru_cache(maxsize=16)
 def _v_basis(n):
+    _check_n("V", n)
     return _prepared(f"V_{n}", (EQ_PINV_FIXED, EQ_COMMUTE, v_identity_1(n), v_identity_2(n)))
 
 
 def in_E(s, n):
-    """Membership in E_n by x'xx' = x', xx' = x'x and x^{n+1} x' = x^n alone;
-    ``checks.check_oracles`` compares the other axiomatization and V_n.
-    The basis is prepared once per n; every member shares one report."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    """Membership in E_n by x'xx' = x', xx' = x'x and x^{n+1} x' = x^n alone,
+    n <= 499; ``checks.check_oracles`` compares the other axiomatization and
+    V_n.  The basis is prepared once per n; every member shares one report."""
     return _report(s, _e_basis(n))
 
 
 def in_V(s, n):
-    """Membership in V_n by its four identities alone;
+    """Membership in V_n by its four identities alone, n <= 498;
     ``checks.check_oracles`` checks E_n <= V_n <= E_{n+1}.  The basis is
     prepared once per n; every member shares one report."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
     return _report(s, _v_basis(n))
 
 
@@ -415,31 +432,19 @@ class _UnknownVariety(ValueError):
     pass
 
 
-# how many levels deeper than n the deepest term of each family's basis
-# nests, written out as parse_term reads it: x*...*x*x' with n + 1 factors
-# x (E_n) and x''*x*...*x*y with n - 1 (V_n)
-_DEPTH_PAST_N = {"E": 1, "V": 2}
-
-
 def variety_test(name):
     """The membership test that a variety name denotes: ``W``, or ``E<n>``
     or ``V<n>`` with n >= 1 in ASCII digits.  Raises ValueError on any
-    other name, and on an n whose basis, written out, nests deeper than
-    ``MAX_TERM_DEPTH`` levels, the parser's bound: past E499 and V498.
-    Either is raised before any term is built or any test runs."""
+    other name, and on an n that ``_check_n`` refuses, before any term is
+    built or any test runs."""
     if name == "W":
         return in_W
     family, digits = name[:1], name[1:].lstrip("0")
     # ASCII digits only, as in an exponent: isdecimal() takes any script's
     if family in _DEPTH_PAST_N and digits.isascii() and digits.isdecimal():
         # a long digit string is never read by int(), which has a limit
-        if len(digits) > len(str(MAX_TERM_DEPTH)) or (
-            int(digits) + _DEPTH_PAST_N[family] > MAX_TERM_DEPTH
-        ):
-            raise ValueError(
-                f"the basis of {name} nests terms deeper than the bound of "
-                f"{MAX_TERM_DEPTH} levels"
-            )
-        return partial(in_E if family == "E" else in_V, n=int(digits))
+        n = int(digits) if len(digits) <= len(str(MAX_TERM_DEPTH)) else inf
+        _check_n(family, n, name)
+        return partial(in_E if family == "E" else in_V, n=n)
     raise _UnknownVariety(f"unknown variety {name!r}")
 

@@ -94,23 +94,26 @@ def _rebuild_corpus(monkeypatch):
     monkeypatch.setattr(checks, "_corpus", lru_cache(checks._corpus.__wrapped__))
 
 
-def _spy(monkeypatch, name):
-    """The argument tuple of every later call of ``checks.<name>``."""
+def _spy(monkeypatch, name, modules=(checks,)):
+    """The argument tuple of every later call of ``<module>.<name>``, for
+    each of the modules, in one list."""
     calls = []
-    real = getattr(checks, name)
+    for module in modules:
+        real = getattr(module, name)
 
-    def spied(*args):
-        calls.append(args)
-        return real(*args)
+        def spied(*args, real=real):
+            calls.append(args)
+            return real(*args)
 
-    monkeypatch.setattr(checks, name, spied)
+        monkeypatch.setattr(module, name, spied)
     return calls
 
 
 def test_run_all_builds_each_input_once(monkeypatch):
     # a cold run: the corpus is built inside run_all
     _rebuild_corpus(monkeypatch)
-    built = _spy(monkeypatch, "variant")
+    # unary_variant reads variants.variant; group-sanity calls checks.variant
+    built = _spy(monkeypatch, "variant", (checks, variants))
     transitivity = _spy(monkeypatch, "check_transitivity")
     disagreements = _spy(monkeypatch, "_variety_disagreements")
     assert all(outcome.ok for outcome, _ in checks.run_all())
@@ -129,13 +132,28 @@ def test_run_all_builds_each_input_once(monkeypatch):
     shipped = [table_of(load_corpus(name)) for name in corpus_names()]
     assert transitivity[290:] == [(t,) for t in shipped + groups]
     # the variety criteria once per distinct (table, unary map) of the 1,053
-    # models, on the table's own canonical model where a variant equals it
+    # models, W's on the corpus tables alone
     all_models = [model for s, uvs in corpus for model in (s, *uvs)]
     assert len(all_models) == 1053
-    checked = [model for (model,) in disagreements]
+    checked = [model for model, _ in disagreements]
     assert len(checked) == 290
     assert {(m.base, m.unary) for m in checked} == {(m.base, m.unary) for m in all_models}
     assert {s for s, _ in corpus} <= set(checked)
+
+
+def test_oracle_check_runs_w_on_the_tables_and_e_v_on_every_distinct_model(monkeypatch):
+    # every model is a pseudoinverse map, yet W's criteria run on the 218
+    # tables alone, once each, and E_n's and V_n's once on each distinct model
+    corpus = checks._corpus()
+    tables = [s for s, _ in corpus]
+    models = list(dict.fromkeys(model for s, uvs in corpus for model in (s, *uvs)))
+    assert (len(tables), len(models)) == (218, 290)
+    spies = {name: _spy(monkeypatch, name) for name in ("in_E", "in_V", "in_W", "in_W_structural")}
+    assert checks.check_oracles().ok
+    assert Counter(spies["in_W"]) == Counter((s,) for s in tables)
+    assert Counter(spies["in_W_structural"]) == Counter((s.base,) for s in tables)
+    assert Counter(spies["in_E"]) == Counter((m, n) for m in models for n in (1, 2, 3))
+    assert Counter(spies["in_V"]) == Counter((m, n) for m in models for n in (1, 2))
 
 
 def test_transport_check_reads_the_corpus_star_maps(monkeypatch):
@@ -179,7 +197,7 @@ def test_closure_check_tests_each_distinct_variant_once(monkeypatch):
 def test_closure_check_counts_each_claim_on_a_failing_variant(monkeypatch):
     # with each "variant" the base table itself, a failure counts every claim
     # on it, as a test per source table and sandwich element would
-    monkeypatch.setattr(checks, "variant", lambda t, c: t)
+    monkeypatch.setattr(variants, "variant", lambda t, c: t)
     _rebuild_corpus(monkeypatch)
     outcome = checks.check_variant_variety_closure()
     assert (outcome.ok, outcome.detail) == (False, "988 violations")
@@ -285,7 +303,7 @@ def test_variant_index_loop_flags_what_the_per_element_check_flags(monkeypatch):
 
 
 def test_variant_index_check_fails_on_a_broken_variant(monkeypatch):
-    monkeypatch.setattr(checks, "variant", lambda t, c: t)
+    monkeypatch.setattr(variants, "variant", lambda t, c: t)
     _rebuild_corpus(monkeypatch)
     outcome = checks.check_variant_index_bounds()
     assert (outcome.ok, outcome.detail) == (False, "116 violations")

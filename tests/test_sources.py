@@ -83,6 +83,32 @@ def test_cli_and_checks_decide_each_rule_once():
     assert readers == {"check_w_witness"}, readers
 
 
+def test_every_unary_model_the_package_builds_states_its_flag():
+    # each UnarySemigroup call says whether its map is the pseudoinverse
+    unflagged = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for call in ast.walk(top):
+                if (
+                    isinstance(call, ast.Call)
+                    and getattr(call.func, "id", getattr(call.func, "attr", None)) == "UnarySemigroup"
+                    and not any(keyword.arg == "canonical" for keyword in call.keywords)
+                ):
+                    unflagged.append((path.stem, getattr(top, "name", "<module>")))
+    assert not unflagged, unflagged
+
+
+def test_checks_read_the_flag_only_of_shipped_files():
+    # the checks say which criteria run on which models; only the two
+    # checks of shipped files read the canonical flag
+    readers = set()
+    for top in ast.parse((PACKAGE / "checks.py").read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "canonical":
+                readers.add(getattr(top, "name", "<module>"))
+    assert readers == {"check_v1_census", "check_w_witness"}, readers
+
+
 def test_search_is_pure_enumeration():
     # the V_1 census lives in its check: the enumerator neither matches
     # models against references nor reads the shipped corpus

@@ -25,7 +25,7 @@ from epivariants.variants import (
     unary_variant,
     variant,
 )
-from epivariants.varieties import in_V
+from epivariants.varieties import in_V, in_W
 
 from _tables import check_variant_index
 
@@ -202,6 +202,39 @@ def test_unary_variant_at_identity_is_identity_operation():
     z3 = pseudoinverse_map(load_corpus("z3.sgp"))
     uv = unary_variant(z3, 0)
     assert uv.base == z3.base and uv.unary == z3.unary
+
+
+def test_unary_variant_keeps_the_pseudoinverse_flag():
+    # by the transport result star is the variant's pseudoinverse map, so
+    # in_W takes every unary variant and answers as on the variant's own map
+    count = 0
+    for order in (1, 2, 3, 4):
+        for s in map(pseudoinverse_map, semigroup_tables(order)):
+            for c in range(order):
+                uv = unary_variant(s, c)
+                assert uv.canonical
+                assert in_W(uv).holds == in_W(pseudoinverse_map(uv.base)).holds, (s, c)
+                count += 1
+    assert count == 835
+
+
+def test_unary_variants_of_w_tables_lie_in_w():
+    tables = [(s, uvs) for s, uvs in checks._corpus() if in_W(s).holds]
+    assert len(tables) == 135
+    for s, uvs in tables:
+        assert all(in_W(uv).holds for uv in uvs), s
+
+
+def test_unary_variant_of_another_unary_map_is_not_canonical():
+    # a free unary map that is not the pseudoinverse passes on no flag
+    others = [m for m in enumerate_models(2, unary="free") if not m.canonical]
+    assert len(others) == 13
+    for m in others:
+        for c in range(2):
+            uv = unary_variant(m, c)
+            assert not uv.canonical
+            with pytest.raises(ValueError, match="canonical pseudoinverse map"):
+                in_W(uv)
 
 
 def test_star_equals_variant_pseudoinverse():

@@ -247,7 +247,7 @@ def test_kernel_matches_brute_force():
 def test_variety_criteria_agree_on_kernel_models():
     # every equivalence check_oracles runs, also on free unary maps
     for s in kernel_models():
-        assert checks._variety_disagreements(s) == [], s
+        assert checks._variety_disagreements(s, run_w=s.canonical) == [], s
 
 
 def test_kernel_takes_no_text_from_the_identity():
@@ -367,12 +367,13 @@ def test_kernel_runs_deep_terms():
 
 def test_kernel_runs_bases_built_past_the_parse_bound():
     # the constructors build E_600 and V_600 about 600 levels deep, past
-    # what parse_term takes; each deep identity also runs alone on every
-    # unary map, where it fails too
+    # what parse_term takes and what in_E and in_V accept, and the kernel
+    # runs their bases; each deep identity also runs alone on every unary
+    # map, where it fails too
     p, c = varieties.EQ_PINV_FIXED, varieties.EQ_COMMUTE
     bases = [
-        (partial(in_E, n=600), (p, c, e_identity(600))),
-        (partial(in_V, n=600), (p, c, v_identity_1(600), v_identity_2(600))),
+        (partial(varieties._report, prepared=varieties._prepared("", basis)), basis)
+        for basis in [(p, c, e_identity(600)), (p, c, v_identity_1(600), v_identity_2(600))]
     ]
     failing = set()
     for name in ("z3.sgp", "null2.sgp"):
@@ -440,6 +441,20 @@ def test_variety_names_are_bounded_by_the_parse_depth():
         with pytest.raises(ValueError, match=f"^the basis of {name} nests terms deeper than "
                                              f"the bound of {bound} levels$"):
             variety_test(name)
+
+
+@pytest.mark.parametrize("test, family, last", [(in_E, "E", 499), (in_V, "V", 498)])
+def test_in_e_and_in_v_take_the_bound_of_the_names(monkeypatch, test, family, last):
+    # the bound variety_test puts on E<n> and V<n> holds for the functions,
+    # refused before any term is built: E_5000 would exhaust the stack
+    s = canonical("z3.sgp")
+    assert test(s, last).holds
+    for builder in ("e_identity", "v_identity_1", "v_identity_2"):
+        monkeypatch.setattr(varieties, builder, lambda n: pytest.fail(f"built a term at {n}"))
+    for n in (last + 1, 5000):
+        with pytest.raises(ValueError, match=f"^the basis of {family}{n} nests terms deeper than "
+                                             f"the bound of {varieties.MAX_TERM_DEPTH} levels$"):
+            test(s, n)
 
 
 def _nested_squares(levels, base="x"):
