@@ -73,11 +73,14 @@ def parse_semigroup(text):
             raise SemigroupError(f"row {i} has {len(row)} entries, expected {n}")
         rows.append(row)
     # range-check only; associativity is the job of validate(), so that a
-    # broken table can still be loaded and diagnosed
+    # broken table can still be loaded and diagnosed.  A row is walked cell
+    # by cell only when the set test fails, so the error names the first
+    # bad cell in row-major order.
+    values = set(range(n))
     for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if not 0 <= v < n:
-                raise EntryOutOfRange((i, j), v)
+        if not values.issuperset(row):
+            j, v = next((j, v) for j, v in enumerate(row) if v not in values)
+            raise EntryOutOfRange((i, j), v)
     t = CayleyTable(rows)
     rest = [line for _, line in lines[1 + n:]]
     if rest:

@@ -3,6 +3,8 @@
 The variant of S at c multiplies by a *_c b = acb.  When S carries its
 pseudoinverse map, star x* = (xc)' x (cx)' is the variant's pseudoinverse
 map, by the transport result that ``checks.check_transport`` verifies.
+Each star map is computed once per (S, c) and cached on S, so building a
+unary variant and checking its transport share one computation.
 This module builds on :mod:`epivariants.core` alone; whether a model is a
 unary variant of a completely regular semigroup is ``search.is_variant_of_cr``.
 """
@@ -43,7 +45,22 @@ def variant(t, c):
 
 
 def star(s, c):
-    """The map x -> (xc)' x (cx)', evaluated in the base semigroup."""
+    """The map x -> (xc)' x (cx)', evaluated in the base semigroup.
+
+    It is computed once per c and cached on s, which is frozen, in a dict
+    set the way ``validate`` sets its mark.  Only a computed map is stored,
+    so an out-of-range c is refused on every call."""
+    stars = getattr(s, "_stars", None)
+    if stars is None:
+        stars = {}
+        object.__setattr__(s, "_stars", stars)
+    st = stars.get(c)
+    if st is None:
+        st = stars[c] = _star(s, c)
+    return st
+
+
+def _star(s, c):
     _check_sandwich(s, c)
     tab = s.base.table
     u = s.unary
@@ -58,23 +75,23 @@ def unary_variant(s, c):
     return UnarySemigroup(variant(s.base, c), star(s, c), canonical=s.canonical)
 
 
-def check_pseudoinverse_transport(s, c, st=None):
+# every passing check returns this one report; a report is frozen
+_HOLDS = CheckReport(True)
+
+
+def check_pseudoinverse_transport(s, c):
     """Verify (xc)' = x* c and c x** = (cx)'' for all x, in the base
     semigroup.  Both hold whenever the unary map is the pseudoinverse.
-    ``st`` is the star map at c when the caller holds it already, as the
-    checks' corpus does; it is computed here otherwise.  The report's
-    ``witness`` is None when ``ok``, else ``(identity, x)`` for the least x
-    where one fails, "(xc)' = x*c" first when both do."""
+    The star map at c is read from s's cache, so after ``unary_variant(s,
+    c)`` it is not computed again.  The report's ``witness`` is None when
+    ``ok``, else ``(identity, x)`` for the least x where one fails,
+    "(xc)' = x*c" first when both do."""
+    st = star(s, c)
     tab = s.base.table
     u = s.unary
-    if st is None:
-        st = star(s, c)
-    else:
-        _check_sandwich(s, c)
     for x in range(s.order):
         if u[tab[x][c]] != tab[st[x]][c]:
             return CheckReport(False, ("(xc)' = x*c", x))
         if tab[c][st[st[x]]] != u[u[tab[c][x]]]:
             return CheckReport(False, ("cx** = (cx)''", x))
-    return CheckReport(True)
-
+    return _HOLDS

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product as iproduct
-from math import inf
 
 
 class IdentityParseError(ValueError):
@@ -371,24 +370,26 @@ _DEPTH_PAST_N = {"E": 1, "V": 2}
 
 
 def _check_n(family, n, name=None):
-    """Refuse, before any term is built, an n below 1 and one whose basis,
-    written out, nests past ``MAX_TERM_DEPTH`` levels: past E499 and V498.
-    ``name`` is the variety as the caller spelled it, E<n> or V<n> if None."""
-    if n < 1:
+    """Refuse, before any term is built, an n that is not an int (a bool
+    included), an n below 1, and one whose basis, written out, nests past
+    ``MAX_TERM_DEPTH`` levels: past E499 and V498.  ``name`` is the variety
+    as the caller spelled it, E<n> or V<n> if None."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("n must be a positive integer")
     if n + _DEPTH_PAST_N[family] > MAX_TERM_DEPTH:
         raise ValueError(f"the basis of {name or family + str(n)} nests terms deeper than "
                          f"the bound of {MAX_TERM_DEPTH} levels")
 
 
-# each n is checked once, as its basis is prepared, and not on every call
-@lru_cache(maxsize=16)
+# each n is checked once, as its basis is prepared, and not on every call;
+# typed, so that True or 1.0 never hits the entry of 1 and is checked too
+@lru_cache(maxsize=16, typed=True)
 def _e_basis(n):
     _check_n("E", n)
     return _prepared(f"E_{n}", (EQ_PINV_FIXED, EQ_COMMUTE, e_identity(n)))
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)
 def _v_basis(n):
     _check_n("V", n)
     return _prepared(f"V_{n}", (EQ_PINV_FIXED, EQ_COMMUTE, v_identity_1(n), v_identity_2(n)))
@@ -442,8 +443,10 @@ def variety_test(name):
     family, digits = name[:1], name[1:].lstrip("0")
     # ASCII digits only, as in an exponent: isdecimal() takes any script's
     if family in _DEPTH_PAST_N and digits.isascii() and digits.isdecimal():
-        # a long digit string is never read by int(), which has a limit
-        n = int(digits) if len(digits) <= len(str(MAX_TERM_DEPTH)) else inf
+        # a long digit string is never read by int(), which has a limit: any
+        # n with more digits than the bound is at least this power of ten
+        width = len(str(MAX_TERM_DEPTH))
+        n = int(digits) if len(digits) <= width else 10**width
         _check_n(family, n, name)
         return partial(in_E if family == "E" else in_V, n=n)
     raise _UnknownVariety(f"unknown variety {name!r}")

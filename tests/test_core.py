@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from itertools import permutations, product as iproduct
 
@@ -532,6 +533,32 @@ def test_parse_reads_signs_between_non_ascii_whitespace():
     assert parse_semigroup("+2\n0\u00a0+0\n0\u2003 1\n") == CayleyTable([[0, 0], [0, 1]])
 
 
+def test_parse_names_the_first_bad_entry_in_row_major_order():
+    # a bad entry late in row 1 comes before one early in row 2; within a
+    # row the first bad cell is named, not the least or the greatest entry
+    for rows, position, value in [
+        ("0 0 0 0\n0 1 2 4\n-1 0 0 0\n0 0 0 0", (1, 3), 4),
+        ("0 0 0 0\n0 0 0 0\n0 7 -3 9\n5 0 0 0", (2, 1), 7),
+        ("0 0 0 0\n0 0 0 0\n0 0 0 0\n0 -2 0 -5", (3, 1), -2),
+    ]:
+        with pytest.raises(EntryOutOfRange) as exc:
+            parse_semigroup(f"4\n{rows}\n")
+        assert (exc.value.position, exc.value.value) == (position, value)
+    rng = random.Random(35)
+    for _ in range(500):
+        n = rng.randrange(1, 6)
+        rows = [[rng.randrange(-1, n + 1) for _ in range(n)] for _ in range(n)]
+        bad = [((a, b), v) for a, row in enumerate(rows) for b, v in enumerate(row)
+               if not 0 <= v < n]
+        text = f"{n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
+        if not bad:
+            assert parse_semigroup(text) == CayleyTable(rows)
+            continue
+        with pytest.raises(EntryOutOfRange) as exc:
+            parse_semigroup(text)
+        assert (exc.value.position, exc.value.value) == bad[0]
+
+
 def test_corpus_comments_ignored():
     text = corpus_text("z2.sgp")
     assert text.startswith("#")
@@ -550,6 +577,47 @@ def test_element_signatures_split_s4_by_order():
     assert sorted(without_powers.values()) == [1, 23]
     perm = tuple(random.Random(4).sample(range(24), 24))
     assert find_isomorphism(t, relabel(t, perm)) is not None
+
+
+class _SearchTooLarge(Exception):
+    pass
+
+
+def test_isomorphism_search_size_on_order_25_products():
+    # direct products of two order-5 tables against relabelled copies: the
+    # signatures keep the backtracking small (at most 191 calls of
+    # _backtrack's consistent here, median 28).  Without |aS|, |Sa| and the
+    # occurrence count they miss the structure, and one pair of this sample
+    # takes 24,750 calls; another such product took 2.8 million.
+    consistent = next(code for code in core._backtrack.__code__.co_consts
+                      if getattr(code, "co_name", None) == "consistent")
+    budget = 1000
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is consistent:
+            calls += 1
+            if calls > budget:
+                raise _SearchTooLarge
+
+    tables = semigroup_tables(5)
+    rng = random.Random(35)
+    for _ in range(50):
+        t, u = rng.choice(tables).table, rng.choice(tables).table
+        p = CayleyTable([[t[a // 5][b // 5] * 5 + u[a % 5][b % 5] for b in range(25)]
+                         for a in range(25)])
+        q = relabel(p, rng.sample(range(25), 25))
+        calls = 0
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            phi = find_isomorphism(p, q)
+        except _SearchTooLarge:
+            pytest.fail(f"more than {budget} calls of consistent on {p.table} and {q.table}")
+        finally:
+            sys.setprofile(previous)
+        assert phi is not None and 1 <= calls <= budget
 
 
 def test_element_signatures_index_and_period():

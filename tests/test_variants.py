@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from epivariants import checks, core, search
+from epivariants import checks, core, search, variants
 from epivariants.core import (
     CapExceeded,
     CayleyTable,
@@ -166,20 +166,61 @@ def test_variant_rejects_bad_sandwich():
         variant(NULL2, 5)
 
 
+def _star_spy(monkeypatch):
+    """The (id(s), c) of every star map computed from now on."""
+    calls = []
+    real = variants._star
+    monkeypatch.setattr(variants, "_star", lambda s, c: calls.append((id(s), c)) or real(s, c))
+    return calls
+
+
 @pytest.mark.parametrize("c", [-1, 3])
-def test_star_and_transport_reject_bad_sandwich(c):
-    # a negative c would index from the end, and c = n past it
+def test_star_and_transport_reject_bad_sandwich(monkeypatch, c):
+    # a negative c would index from the end, and c = n past it; a bad c is
+    # refused whether the star maps of s are cached or not, and never cached
     z3 = pseudoinverse_map(load_corpus("z3.sgp"))
-    calls = (
+    calls = _star_spy(monkeypatch)
+    entry_points = (
         lambda: variant(z3.base, c),
         lambda: star(z3, c),
         lambda: unary_variant(z3, c),
         lambda: check_pseudoinverse_transport(z3, c),
-        lambda: check_pseudoinverse_transport(z3, c, st=star(z3, 0)),
     )
-    for call in calls:
-        with pytest.raises(ValueError, match=f"^sandwich element {c} out of range$"):
-            call()
+    for warm in (False, True):
+        if warm:
+            maps = [star(z3, x) for x in range(3)]
+            calls.clear()
+        for call in entry_points:
+            for _ in range(2):
+                with pytest.raises(ValueError, match=f"^sandwich element {c} out of range$"):
+                    call()
+        # unary_variant refuses c in variant, before it asks for the map
+        assert calls == [(id(z3), c)] * 4
+        calls.clear()
+    assert [star(z3, x) for x in range(3)] == maps and calls == []
+
+
+def test_star_is_computed_once_per_table_and_sandwich(monkeypatch):
+    # the transport check reads the map that building the unary variant
+    # computed, and so does every later call at that c
+    calls = _star_spy(monkeypatch)
+    models = [pseudoinverse_map(t) for order in (1, 2, 3, 4) for t in semigroup_tables(order)]
+    models += [pseudoinverse_map(load_corpus("s3.sgp")), load_corpus("w_not_v1.sgp")]
+    for s in models:
+        for c in range(s.order):
+            uv = unary_variant(s, c)
+            assert check_pseudoinverse_transport(s, c).ok
+            assert star(s, c) is uv.unary
+    assert calls == [(id(s), c) for s in models for c in range(s.order)]
+
+
+def test_cached_star_maps_leave_equality_hash_and_pickling_alone():
+    for t in semigroup_tables(3):
+        warm, cold = pseudoinverse_map(t), pseudoinverse_map(t)
+        maps = [star(warm, c) for c in range(3)]
+        assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+        copy = pickle.loads(pickle.dumps(warm))
+        assert copy == cold and [star(copy, c) for c in range(3)] == maps
 
 
 def test_star_group_cases():

@@ -127,6 +127,19 @@ def test_variety_index_must_be_positive(test):
         test(pseudoinverse_map(NULL2), 0)
 
 
+@pytest.mark.parametrize("test, name", [(in_E, "E_1"), (in_V, "V_1")])
+def test_variety_index_must_be_an_int(test, name):
+    # the bases are cached on n, and True == 1.0 == 1 as keys; neither a
+    # bool nor a float may reach or leave an entry, in any order of calls
+    s = pseudoinverse_map(NULL2)
+    for warm in (False, True):
+        for n in (2.5, True, 1.0):
+            with pytest.raises(ValueError, match="^n must be a positive integer$"):
+                test(s, n)
+        if not warm:
+            assert test(s, 1).name == name
+
+
 def test_in_E_monotone():
     for order in (1, 2, 3):
         for t in semigroup_tables(order):
