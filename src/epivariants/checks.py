@@ -17,12 +17,14 @@ from itertools import product as iproduct
 from .conjugacy import check_transitivity
 from .core import (
     CayleyTable,
+    SemigroupError,
     _invariants,
     _isomorphism_search,
     canonical_form,
     find_isomorphism,
     identity_of,
     table_of,
+    validate,
 )
 from .corpus import corpus_names, load_corpus
 from .epigroup import (
@@ -431,13 +433,15 @@ def _variety_disagreements(s, run_w):
 
 
 def check_oracles():
-    """Search completeness at order <= 3 against brute force; isomorphism
-    search agrees with canonical forms on all order-<=4 pairs; conjugacy
-    classes on the corpus match an independent oracle.  On each of the 290
-    distinct models among the 1,053 order-<=4 tables with their
-    pseudoinverse maps and their unary variants: ``in_E`` agrees with
-    x^{n-1} x'' = x^n (n <= 3) and E_n <= V_n <= E_{n+1} holds (n <= 2);
-    on the 218 tables alone, E_2 plus (xy)'' = xy, ``in_W``,
+    """Search completeness at order <= 3 against brute force; every table
+    ``semigroup_tables`` emits at order <= 4 passes ``validate``, which the
+    search itself leaves to this check (a failure is a problem, not an
+    exception); isomorphism search agrees with canonical forms on all
+    order-<=4 pairs; conjugacy classes on the corpus match an independent
+    oracle.  On each of the 290 distinct models among the 1,053 order-<=4
+    tables with their pseudoinverse maps and their unary variants: ``in_E``
+    agrees with x^{n-1} x'' = x^n (n <= 3) and E_n <= V_n <= E_{n+1} holds
+    (n <= 2); on the 218 tables alone, E_2 plus (xy)'' = xy, ``in_W``,
     ``in_W_structural``, and "every Sc, every cS completely regular" agree,
     each distinct ideal Sc or cS tested once.  These criteria read only the
     table and the map, so a repeated model has the same verdicts.
@@ -455,6 +459,11 @@ def check_oracles():
             problems.append(f"order {order}: search and brute force differ")
     for order in (1, 2, 3, 4):
         tables = semigroup_tables(order)
+        for t in tables:
+            try:
+                validate(t)
+            except SemigroupError as exc:
+                problems.append(f"order {order} table {t.table} is not a semigroup: {exc}")
         forms = [canonical_form(t) for t in tables]
         # find_isomorphism's search runs on every pair, never skipped on
         # canonical forms, which it is checked against; each table's element

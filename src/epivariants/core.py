@@ -6,10 +6,14 @@ module of the package, and the ``.sgp`` text format is read and written by
 Elements are dense integer indices 0..n-1.  Entry (row a, column b) of the
 table holds the product a*b.  Associativity is a checked invariant, never
 assumed at construction time: build with ``CayleyTable.from_rows`` or call
-``validate`` explicitly.  The one result that is inherited rather than
-checked is a variant's: a *_c b = acb is associative whenever the table it
-is built from is, since (acb)cd = ac(bcd), so ``variants.variant`` of a
-table that ``validate`` passed skips the check.
+``validate`` explicitly.  The two results that are inherited rather than
+checked are a variant's and the enumerator's.  A *_c b = acb is
+associative whenever the table it is built from is, since (acb)cd =
+ac(bcd), so ``variants.variant`` of a table that ``validate`` passed skips
+the check; and ``search.semigroup_tables`` emits only tables whose every
+triple its forward checking tested, so it skips the check too
+(``checks.check_oracles`` validates every table of order <= 4 again).
+Both build their results with ``_trusted_table``.
 """
 
 from __future__ import annotations
@@ -86,6 +90,31 @@ class UnarySemigroup:
     @property
     def order(self):
         return self.base.order
+
+
+def _trusted_table(rows):
+    """A CayleyTable of rows that are already a tuple of int tuples and known
+    to be associative, marked as checked as ``validate`` marks a table: no
+    conversion and no check.  Only ``variants.variant`` (on a marked table)
+    and ``search.semigroup_tables`` call it."""
+    # object.__setattr__ as in __init__: writing through t.__dict__ would
+    # build an instance dict, which makes every later t.table slower
+    t = object.__new__(CayleyTable)
+    object.__setattr__(t, "table", rows)
+    object.__setattr__(t, "_validated", True)
+    return t
+
+
+def _trusted_unary(base, unary, *, canonical):
+    """A UnarySemigroup whose unary map is already a tuple, with no
+    conversion: for the builders whose maps are tuples by construction
+    (``unary_variant``, ``pseudoinverse_map`` and the free unary maps of
+    ``search.enumerate_models``)."""
+    s = object.__new__(UnarySemigroup)
+    object.__setattr__(s, "base", base)
+    object.__setattr__(s, "unary", unary)
+    object.__setattr__(s, "canonical", canonical)
+    return s
 
 
 def validate(t):

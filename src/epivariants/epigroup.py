@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import TABLE_CACHE_SIZE, UnarySemigroup, _powers
+from .core import TABLE_CACHE_SIZE, _powers, _trusted_unary
 from .varieties import _compiled, parse_identity
 
 
@@ -45,7 +45,7 @@ def epigroup_data(t):
 
 def pseudoinverse_map(t):
     """The canonical unary semigroup (S, ., ') over t."""
-    return UnarySemigroup(t, epigroup_data(t).pseudoinverse, canonical=True)
+    return _trusted_unary(t, epigroup_data(t).pseudoinverse, canonical=True)
 
 
 def is_completely_regular(t):

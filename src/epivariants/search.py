@@ -36,6 +36,14 @@ and three tests cut the tree; the last two tests are one routine,
   once, as its canonical form.  This test alone decides canonicity; the
   root rule and the other two tests only cut subtrees that hold no
   canonical table.
+
+Forward checking is also the proof that every emitted table is a
+semigroup: each triple is tested when the last of its four cells is set,
+so a complete table has no failing triple.  The tables are built marked as
+checked (``core._trusted_table``) and ``validate`` is not run on them
+again; the cross-check lives in the oracle layer, where
+``checks.check_oracles`` validates every table of order <= 4, and the
+tests validate every table of orders 5 and 6.
 """
 
 from __future__ import annotations
@@ -46,13 +54,13 @@ from itertools import chain, product as iproduct
 from .core import (
     MAX_PLAIN_ORDER,
     CapExceeded,
-    CayleyTable,
     UnarySemigroup,
     _lex_leader,
+    _trusted_table,
+    _trusted_unary,
     _unpack,
     canonical_form,
     table_of,
-    validate,
 )
 from .epigroup import in_W_structural, is_completely_regular, pseudoinverse_map
 from .variants import unary_variant
@@ -176,7 +184,10 @@ def semigroup_tables(order):
     """All semigroups of the given order, one canonical representative per
     isomorphism class, sorted by canonical form: the walk sets cell (0, 0)
     to 0, then fills the cells in row-major order and tries each cell's
-    values in increasing order, so it finds the tables already sorted."""
+    values in increasing order, so it finds the tables already sorted.
+    Forward checking has tested every triple of each table, so the tables
+    are built marked as checked and not validated again (see the module
+    docstring for where that cross-check runs)."""
     if order < 1:
         raise ValueError("order must be positive")
     if order > MAX_PLAIN_ORDER:
@@ -194,9 +205,7 @@ def semigroup_tables(order):
     where[0].append((0, 0))
     if _assign(t, 0, 0, n, where, force, trail):
         _fill(t, 1, n, where, force, trail, tables)
-    result = tuple(CayleyTable(t) for t in tables)
-    for t in result:
-        validate(t)  # belt over the incremental pruning
+    result = tuple(map(_trusted_table, tables))
     _TABLE_CACHE[order] = result
     return result
 
@@ -275,7 +284,7 @@ def _candidates(tables, unary):
         for t in tables:
             pinv = pseudoinverse_map(t).unary
             for images in iproduct(range(t.order), repeat=t.order):
-                yield UnarySemigroup(t, images, canonical=(images == pinv))
+                yield _trusted_unary(t, images, canonical=(images == pinv))
     elif unary == "pseudoinverse":
         yield from map(pseudoinverse_map, tables)
     else:

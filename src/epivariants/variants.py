@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CayleyTable, UnarySemigroup
+from .core import CayleyTable, _trusted_table, _trusted_unary
 
 
 @dataclass(frozen=True)
@@ -31,17 +31,16 @@ def variant(t, c):
     """The table of a *_c b = acb: row a is row ac of t.
 
     If ``validate`` passed t, the variant is a semigroup without a check,
-    since (a *_c b) *_c d = acbcd = a *_c (b *_c d), and it is marked as
-    checked in turn.  Any other t gets its variant validated, so a magma's
-    variant still raises with its first failing triple."""
+    since (a *_c b) *_c d = acbcd = a *_c (b *_c d): it is built from t's
+    own rows, unconverted, and marked as checked in turn.  Any other t gets
+    its variant validated, so a magma's variant still raises with its first
+    failing triple."""
     _check_sandwich(t, c)
     tab = t.table
-    rows = [tab[row[c]] for row in tab]
+    rows = tuple([tab[row[c]] for row in tab])
     if not getattr(t, "_validated", False):
         return CayleyTable.from_rows(rows)
-    v = CayleyTable(rows)
-    object.__setattr__(v, "_validated", True)
-    return v
+    return _trusted_table(rows)
 
 
 def star(s, c):
@@ -72,7 +71,7 @@ def _star(s, c):
 def unary_variant(s, c):
     """(S, ._c, *): the variant table paired with the star map, canonical when
     s is, since star is then the variant's pseudoinverse map by transport."""
-    return UnarySemigroup(variant(s.base, c), star(s, c), canonical=s.canonical)
+    return _trusted_unary(variant(s.base, c), star(s, c), canonical=s.canonical)
 
 
 # every passing check returns this one report; a report is frozen

@@ -12,7 +12,7 @@ from functools import lru_cache
 import pytest
 
 from epivariants import checks, core, variants
-from epivariants.core import table_of
+from epivariants.core import CayleyTable, table_of
 from epivariants.corpus import corpus_names, load_corpus
 from epivariants.epigroup import EpigroupData
 from epivariants.varieties import VarietyReport, parse_identity
@@ -234,6 +234,26 @@ def test_oracle_sweep_backtracks_only_on_equal_signature_multisets(monkeypatch):
     monkeypatch.setattr(core, "_backtrack", counted)
     assert checks.check_oracles().ok
     assert [calls.count(n) for n in (1, 2, 3, 4)] == [1, 5, 24, 188]
+
+
+def test_oracle_check_reports_a_table_that_fails_validate(monkeypatch):
+    # the search leaves validate to the oracle check: a magma slipped in
+    # among the order-4 tables is a problem that names it, not an exception.
+    # The corpus is built from the true tables first
+    checks._corpus()
+    magma = CayleyTable([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 3]])
+    tables = checks.semigroup_tables
+    monkeypatch.setattr(
+        checks, "semigroup_tables", lambda order: tables(order) + (magma,) * (order == 4)
+    )
+    outcome = checks.check_oracles()
+    assert (outcome.ok, outcome.detail) == (
+        False,
+        "order 4 table ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 1, 3)) "
+        "is not a semigroup: (3*3)*2 != 3*(3*2)",
+    )
+    monkeypatch.undo()
+    assert checks.check_oracles().ok
 
 
 def _merge_j_classes_0_and_1(t, green=checks.green):

@@ -195,6 +195,18 @@ def test_tables_are_valid_canonical_and_sorted():
             assert canonical_form(UnarySemigroup(t, unary)) == flat + bytes(unary)
 
 
+def assert_every_table_passes_validate(order):
+    # the search builds its tables unchecked, on the proof that forward
+    # checking tested every triple; validate re-checks that proof
+    tables = semigroup_tables(order)
+    assert all(validate(t) is t for t in tables)
+    return len(tables)
+
+
+def test_order_5_tables_pass_validate():
+    assert assert_every_table_passes_validate(5) == 1915
+
+
 def row_major_followers(tables):
     # every row-major prefix of the tables' cells, mapped to the values
     # that follow it there; a whole table maps to the empty set
@@ -512,3 +524,8 @@ def test_order_6_counts():
     assert count_semigroups(6) == 28634
     assert count_semigroups(6, merge_anti=True) == 15973
     assert tables_digest(6) == "e8eb333c8fa4ab76e684fa02b6ec49d66117d0a8efd2dd06161c61c7d3526f47"
+
+
+@pytest.mark.slow
+def test_order_6_tables_pass_validate():
+    assert assert_every_table_passes_validate(6) == 28634

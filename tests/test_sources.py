@@ -84,14 +84,16 @@ def test_cli_and_checks_decide_each_rule_once():
 
 
 def test_every_unary_model_the_package_builds_states_its_flag():
-    # each UnarySemigroup call says whether its map is the pseudoinverse
+    # each UnarySemigroup or _trusted_unary call says whether its map is the
+    # pseudoinverse
     unflagged = []
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             for call in ast.walk(top):
                 if (
                     isinstance(call, ast.Call)
-                    and getattr(call.func, "id", getattr(call.func, "attr", None)) == "UnarySemigroup"
+                    and getattr(call.func, "id", getattr(call.func, "attr", None))
+                    in ("UnarySemigroup", "_trusted_unary")
                     and not any(keyword.arg == "canonical" for keyword in call.keywords)
                 ):
                     unflagged.append((path.stem, getattr(top, "name", "<module>")))
@@ -187,15 +189,38 @@ def _mark_uses(tree):
 
 def test_validated_mark_is_set_and_read_only_where_sound():
     # variant skips validate on a table that carries the mark, so only
-    # validate (after its full check) and variant (on the variant of a
-    # marked table) may set it, and only variant may read it
+    # validate (after its full check) and the trusted constructor (which
+    # the next test confines to proved rows) may set it, and only variant
+    # may read it
     uses = set()
     for path in sorted(Path(epivariants.__file__).parent.glob("*.py")):
         uses.update((path.stem, *use) for use in _mark_uses(ast.parse(path.read_text())))
     assert uses == {
         ("core", "validate", "set"),
-        ("variants", "variant", "set"),
+        ("core", "_trusted_table", "set"),
         ("variants", "variant", "read"),
+    }
+
+
+def test_trusted_constructors_are_used_only_by_the_builders_they_serve():
+    # _trusted_table skips validate, so only builders whose rows are proved
+    # associative name it: variant, on a marked table, by (acb)cd = ac(bcd),
+    # and semigroup_tables, by its forward checking.  _trusted_unary skips
+    # the conversion of a map that is already a tuple, in the builders whose
+    # maps are tuples by construction
+    users = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                if isinstance(node, (ast.Name, ast.Attribute)) and name.startswith("_trusted_"):
+                    users.add((name, path.stem, getattr(top, "name", "<module>")))
+    assert users == {
+        ("_trusted_table", "variants", "variant"),
+        ("_trusted_table", "search", "semigroup_tables"),
+        ("_trusted_unary", "variants", "unary_variant"),
+        ("_trusted_unary", "epigroup", "pseudoinverse_map"),
+        ("_trusted_unary", "search", "_candidates"),
     }
 
 

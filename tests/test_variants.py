@@ -133,6 +133,29 @@ def test_validated_and_bare_tables_are_indistinguishable():
             copy = pickle.loads(pickle.dumps(x))
             assert copy == x and hash(copy) == hash(x)
             assert variant(copy, 2) == variant(x, 2)
+    # the builders that skip the public constructors' conversion (and, for
+    # tables, validate) give objects equal to their public twins in every
+    # respect a caller sees, pickled or not; equal fields are tuples too
+    assert [f.name for f in dataclasses.fields(UnarySemigroup)] == ["base", "unary", "canonical"]
+    tables = semigroup_tables(3)
+    models = [pseudoinverse_map(t) for t in tables]
+    unary = [*models, *(unary_variant(s, c) for s in models for c in range(3))]
+    unary += enumerate_models(2, unary="free")
+    built = [*tables, *(variant(t, c) for t in tables for c in range(3)), *unary]
+    built += [s.base for s in unary]
+    for x in built:
+        twin = _public_twin(x)
+        assert type(x) is type(twin)
+        assert x == twin and hash(x) == hash(twin) and repr(x) == repr(twin)
+        copy = pickle.loads(pickle.dumps(x))
+        assert copy == twin and hash(copy) == hash(twin) and repr(copy) == repr(twin)
+
+
+def _public_twin(x):
+    """x rebuilt through the public constructors, from lists."""
+    if isinstance(x, UnarySemigroup):
+        return UnarySemigroup(_public_twin(x.base), list(x.unary), canonical=x.canonical)
+    return CayleyTable([list(row) for row in x.table])
 
 
 def test_variant_of_magma_is_still_validated():
