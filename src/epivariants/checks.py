@@ -300,28 +300,46 @@ def check_variant_index_bounds():
 
 
 def _labelled_semigroups(order):
-    """Every associative table on {0, ..., order-1}, as a tuple of rows:
-    generate-and-filter over all order^(order^2) tables, independent of the
-    backtracking search and of ``core.validate``.  A table is a tuple of
-    row indices into all order^order rows, and it is kept when row ab is
-    row a composed after row b for all a, b, which says (ab)c = a(bc) for
-    every c."""
+    """Every associative table on {0, ..., order-1}, as a tuple of rows, in
+    lexicographic order: an exhaustive walk independent of the backtracking
+    search and of ``core.validate``.  A table is a tuple of row indices
+    into all order^order rows, chosen for element 0, 1, ... in turn, each
+    in increasing index order.  Pair (a, b) holds when row ab is row a
+    composed after row b, which says (ab)c = a(bc) for every c.  As ab is
+    known once row a is chosen, each pair is tested as soon as the last of
+    rows a, b and ab is, and a failing pair drops the partial choice with
+    every table that extends it; the pairs whose last row is ab leave only
+    their composite to try as that row.  A complete table has passed every
+    pair, so it is associative, and an associative table fails no pair, so
+    none is missed."""
     rows = list(iproduct(range(order), repeat=order))
     index = {row: i for i, row in enumerate(rows)}
     # comp[i][j]: the index of the row c -> rows[i][rows[j][c]]
     comp = [[index[tuple(ri[v] for v in rj)] for rj in rows] for ri in rows]
-    for choice in iproduct(range(len(rows)), repeat=order):
-        associative = True
-        for i in choice:
-            row, after = rows[i], comp[i]
-            for b, j in enumerate(choice):
-                if choice[row[b]] != after[j]:
-                    associative = False
-                    break
-            if not associative:
-                break
-        if associative:
+    choice = [0] * order
+
+    def extend(k):
+        if k == order:
             yield tuple(rows[i] for i in choice)
+            return
+        chosen = choice[:k]
+        # the pairs (a, b) with a, b < k and ab = k each name row k: the
+        # composite of rows a and b.  Two different names leave no row
+        named = {comp[i][chosen[b]] for i in chosen for b, ab in enumerate(rows[i][:k]) if ab == k}
+        if len(named) > 1:
+            return
+        # the pairs (a, k) with a < k and ak <= k: row a's composites, and ak
+        left = [(comp[i], rows[i][k]) for i in chosen if rows[i][k] <= k]
+        for i in named or range(len(rows)):
+            row, after = rows[i], comp[i]
+            choice[k] = i
+            # the pairs (k, b) with b <= k and kb <= k, then the pairs (a, k)
+            if all(choice[row[b]] == after[choice[b]] for b in range(k + 1) if row[b] <= k) and all(
+                choice[ak] == composites[i] for composites, ak in left
+            ):
+                yield from extend(k + 1)
+
+    yield from extend(0)
 
 
 def _ideal_table(t, elements):

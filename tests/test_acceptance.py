@@ -256,6 +256,26 @@ def test_oracle_check_reports_a_table_that_fails_validate(monkeypatch):
     assert checks.check_oracles().ok
 
 
+def test_oracle_check_reports_a_brute_force_mismatch(monkeypatch):
+    # the completeness cross-check is live: a magma among the brute force's
+    # order-3 tables is a class the search lacks, reported without raising.
+    # Dropping one labelled table would show nothing, since its class keeps
+    # other labelled copies
+    magma = ((1, 1, 1), (2, 2, 2), (0, 0, 0))
+    labelled = checks._labelled_semigroups
+
+    def with_magma(order):
+        yield from labelled(order)
+        if order == 3:
+            yield magma
+
+    monkeypatch.setattr(checks, "_labelled_semigroups", with_magma)
+    outcome = checks.check_oracles()
+    assert (outcome.ok, outcome.detail) == (False, "order 3: search and brute force differ")
+    monkeypatch.undo()
+    assert checks.check_oracles().ok
+
+
 def _merge_j_classes_0_and_1(t, green=checks.green):
     g = green(t)
     return replace(g, j_class=tuple(0 if c == 1 else c for c in g.j_class))

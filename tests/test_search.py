@@ -101,10 +101,11 @@ def test_complete_against_brute_force():
 
 
 def test_row_composition_oracle_is_associativity():
-    # checks' brute force keeps a table when row ab = row a o row b; over
-    # every table of order <= 3 (1 + 16 + 19,683) it keeps the same tables
-    # in the same order as the triple-loop definition: 1, 8 and 113
-    # labelled semigroups (OEIS A023814)
+    # checks' brute force keeps a table when row ab = row a o row b for all
+    # a, b, testing each pair as soon as its rows are chosen; it keeps the
+    # same tables in the same order as the triple-loop definition tried on
+    # every table of order <= 3 (1 + 16 + 19,683): 1, 8 and 113 labelled
+    # semigroups (OEIS A023814)
     for order, expected in ((1, 1), (2, 8), (3, 113)):
         kept = list(checks._labelled_semigroups(order))
         assert kept == list(associative_tables(order))

@@ -1,4 +1,5 @@
 import ast
+import builtins
 import warnings
 from importlib import import_module
 from pathlib import Path
@@ -60,6 +61,37 @@ def test_checks_enumerate_tables_only_in_the_corpus_and_the_oracle_sweep():
             if isinstance(node, (ast.Name, ast.Attribute)) and name == "semigroup_tables":
                 users.add(getattr(top, "name", "<module>"))
     assert users == {"_corpus", "check_oracles"}, users
+
+
+def test_brute_force_reads_nothing_of_the_package():
+    # _labelled_semigroups is the search's independent oracle: it and its
+    # nested walk read only builtins, itertools' product and their own
+    # names, never a name checks.py imports from the package
+    tree = ast.parse((PACKAGE / "checks.py").read_text())
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                imported[alias.asname or alias.name] = (node.level, node.module, alias.name)
+    assert imported["iproduct"] == (0, "itertools", "product")
+    package = {name for name, (level, _, _) in imported.items() if level}
+    assert {"semigroup_tables", "validate", "canonical_form", "CayleyTable"} <= package
+    (walk,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_labelled_semigroups"
+    ]
+    loaded, bound = set(), set()
+    for node in ast.walk(walk):
+        if isinstance(node, ast.Name):
+            (loaded if isinstance(node.ctx, ast.Load) else bound).add(node.id)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, ast.FunctionDef):
+            bound.add(node.name)
+    named = loaded | bound
+    assert not named & (package | {"_lex_leader"}), named & package
+    assert loaded - bound <= set(dir(builtins)) | {"iproduct"}, loaded - bound
 
 
 def test_cli_and_checks_decide_each_rule_once():
