@@ -89,8 +89,8 @@ def test_brute_force_reads_nothing_of_the_package():
             bound.add(node.arg)
         elif isinstance(node, ast.FunctionDef):
             bound.add(node.name)
-    named = loaded | bound
-    assert not named & (package | {"_lex_leader"}), named & package
+    used = (loaded | bound) & (package | {"_lex_leader"})
+    assert not used, used
     assert loaded - bound <= set(dir(builtins)) | {"iproduct"}, loaded - bound
 
 
